@@ -21,13 +21,14 @@ fn workload() -> PaperWorkload {
 
 fn fig9(c: &mut Criterion) {
     let w = workload();
+    let snap = w.engine.snapshot();
     let mut group = c.benchmark_group("fig9_lookup");
     group.sample_size(10);
     for (tq, q) in &w.queries {
         for strategy in [Strategy::Mn, Strategy::Mv, Strategy::Hv] {
             group.bench_with_input(BenchmarkId::new(strategy.as_str(), tq.name), q, |b, q| {
                 b.iter(|| {
-                    let (sel, _, _) = w.engine.lookup(q, strategy);
+                    let (sel, _, _) = snap.lookup(q, strategy);
                     sel.map(|s| s.units.len()).unwrap_or(0)
                 })
             });

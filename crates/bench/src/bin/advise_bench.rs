@@ -29,7 +29,7 @@
 use std::fmt::Write as _;
 use std::time::Instant;
 
-use xvr_bench::{paper_document, planted_views, test_queries, xmark_queries};
+use xvr_bench::{answering_strategy, paper_document, planted_views, test_queries, xmark_queries};
 use xvr_core::{
     Advisor, AdvisorConfig, Engine, EngineConfig, EngineSnapshot, QueryOptions, Strategy, Workload,
 };
@@ -100,7 +100,9 @@ fn replay(snap: &EngineSnapshot, workload: &Workload, jobs: usize) -> (u64, f64)
         let Ok(q) = snap.parse(&entry.source) else {
             continue;
         };
-        if snap.query(&q, &hvi).answer.is_ok() {
+        let strategy = answering_strategy(snap, &q, Strategy::HvIntersect)
+            .unwrap_or_else(|e| panic!("{}: HVI rewrite failed: {e}", entry.source));
+        if strategy == Strategy::HvIntersect {
             answered_weight += entry.freq;
             for _ in 0..entry.freq {
                 covered.push(q.clone());

@@ -377,11 +377,12 @@ fn fig9(w: &xvr_bench::PaperWorkload, reps: usize) {
     println!("## Figure 9 — lookup time (paper: MN ≫ MV ≈ HV)\n");
     println!("| query | MN | MV | HV |");
     println!("|---|---|---|---|");
+    let snap = w.engine.snapshot();
     for (tq, q) in &w.queries {
         print!("| {} |", tq.name);
         for strategy in [Strategy::Mn, Strategy::Mv, Strategy::Hv] {
             let us = time_us(reps, || {
-                let (sel, _, _) = w.engine.lookup(q, strategy);
+                let (sel, _, _) = snap.lookup(q, strategy);
                 sel.map(|s| s.units.len()).unwrap_or(0)
             });
             print!(" {} |", fmt_us(us));

@@ -2,7 +2,7 @@
 //!
 //! Sweeps randomized (document, view-set, query) cases for each master
 //! seed, cross-checking all seven answering strategies against the `Bn`
-//! ground truth plus the metamorphic invariants of `xvr_core::oracle`.
+//! ground truth plus the metamorphic invariants of `xvr_bench::oracle`.
 //! On a violation the failing case is shrunk and written to the corpus
 //! directory as a self-contained reproducer, which `tests/oracle_corpus.rs`
 //! replays in CI from then on.
@@ -22,7 +22,7 @@ use std::path::PathBuf;
 use std::process::ExitCode;
 use std::time::Instant;
 
-use xvr_core::oracle::{load_corpus, replay, run_seed, Injection, OracleConfig};
+use xvr_bench::oracle::{load_corpus, replay, run_seed, Injection, OracleConfig};
 
 struct Args {
     seeds: Vec<u64>,

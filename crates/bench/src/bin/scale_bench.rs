@@ -31,7 +31,7 @@
 use std::fmt::Write as _;
 use std::time::Instant;
 
-use xvr_bench::{planted_views, test_queries};
+use xvr_bench::{answering_strategy, planted_views, test_queries};
 use xvr_core::{Engine, EngineConfig, QueryOptions, Strategy};
 use xvr_pattern::distinct_patterns;
 use xvr_pattern::generator::QueryConfig;
@@ -147,16 +147,10 @@ fn run_scale(scale: f64, n_views: usize, budget: usize, reps: usize, seed: u64) 
     let mut query_rows = Vec::new();
     for (tq, pattern) in queries {
         // HV first; when the fragment budget truncated the covering views
-        // the rewrite is (correctly) refused, and a production path falls
-        // back to direct evaluation — time whichever strategy answers.
-        let mut strategy = Strategy::Hv;
-        if snap
-            .query(&pattern, &QueryOptions::strategy(strategy))
-            .answer
-            .is_err()
-        {
-            strategy = Strategy::Bn;
-        }
+        // the query is (correctly) not answerable, and a production path
+        // falls back to direct evaluation — time whichever strategy answers.
+        let strategy = answering_strategy(&snap, &pattern, Strategy::Hv)
+            .unwrap_or_else(|e| panic!("{}: HV rewrite failed: {e}", tq.name));
         let options = QueryOptions::strategy(strategy);
         let mut times_us: Vec<f64> = Vec::with_capacity(reps);
         let mut answered = true;

@@ -103,16 +103,8 @@ fn main() {
     }
     let views_at_start = engine.views().len();
 
-    let server = Server::bind(
-        "127.0.0.1:0",
-        engine,
-        sources,
-        ServerConfig {
-            jobs,
-            force_metrics: true,
-        },
-    )
-    .expect("bind ephemeral port");
+    let server = Server::bind("127.0.0.1:0", engine, sources, ServerConfig { jobs })
+        .expect("bind ephemeral port");
     let addr = server.local_addr().to_string();
     let server_thread = std::thread::spawn(move || server.run().expect("server run"));
 

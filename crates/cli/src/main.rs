@@ -596,7 +596,7 @@ fn filter(argv: &[String]) -> Result<ExitCode, CliError> {
     let q = engine
         .parse(query_src)
         .map_err(|e| CliError::Input(format!("query: {e}")))?;
-    let outcome = engine.filter(&q);
+    let outcome = engine.snapshot().filter(&q);
     outln!(
         "{} of {} views survive filtering:",
         outcome.candidates.len(),

@@ -39,15 +39,7 @@ pub fn serve(argv: &[String]) -> Result<ExitCode, CliError> {
         None => 4,
     };
     let addr = parsed.opt("addr").unwrap_or("127.0.0.1:7878");
-    let server = Server::bind(
-        addr,
-        engine,
-        view_sources,
-        ServerConfig {
-            jobs,
-            force_metrics: true,
-        },
-    )?;
+    let server = Server::bind(addr, engine, view_sources, ServerConfig { jobs })?;
     // Stdout (stderr carries diagnostics): wrappers parse this line for
     // the kernel-assigned port. Rust's stdout is line-buffered, so the
     // newline flushes it before the accept loop blocks.

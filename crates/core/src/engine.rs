@@ -26,12 +26,11 @@ use std::sync::Arc;
 use xvr_pattern::{parse_pattern_with, PLabel, PatternParseError, TreePattern};
 use xvr_xml::{CodeStability, DeweyCode, Document, Label, LabelTable, NodeIndex, PathIndex};
 
-use crate::filter::{build_nfa, FilterOutcome};
+use crate::filter::build_nfa;
 use crate::materialize::MaterializedStore;
 use crate::metrics::SnapshotMetrics;
 use crate::nfa::{AcceptEntry, Nfa};
 use crate::rewrite::{RewriteCache, RewriteError};
-use crate::select::Selection;
 use crate::snapshot::{EngineSnapshot, QueryOptions};
 use crate::view::{ViewId, ViewSet};
 
@@ -231,18 +230,6 @@ pub struct EngineConfig {
     /// Per-view overhead (in byte-equivalents) charged by the cost-based
     /// strategy for each additional distinct view.
     pub cost_view_overhead: usize,
-    /// Use the per-snapshot [`RewriteCache`] (memoized refinement + prefix
-    /// trees, single-unit fast path) on the answer path. Disable to force
-    /// every answer through the uncached reference rewriter — the two are
-    /// checked identical by the determinism tests and the oracle.
-    pub rewrite_cache: bool,
-    /// Route the rewriting stage through the legacy scan-merge join
-    /// ([`crate::rewrite_scan`]) instead of the galloping flat-code join.
-    /// A debugging/differential knob: the scan join ignores the rewrite
-    /// cache and re-derives everything per query, and the oracle's
-    /// `JoinEquivalence` invariant plus the join-differential tests hold
-    /// the two joins byte-identical.
-    pub scan_join: bool,
 }
 
 impl Default for EngineConfig {
@@ -251,8 +238,6 @@ impl Default for EngineConfig {
             fragment_budget: usize::MAX,
             max_minimum_views: 4,
             cost_view_overhead: 1024,
-            rewrite_cache: true,
-            scan_join: false,
         }
     }
 }
@@ -465,32 +450,6 @@ impl Engine {
         Ok(ids)
     }
 
-    /// Run VFILTER only (Figure 12's measured operation).
-    pub fn filter(&self, q: &TreePattern) -> FilterOutcome {
-        self.snapshot().filter(q)
-    }
-
-    /// Run selection only — filter (unless `Mn`) plus view-set search.
-    /// Returns the selection and the timings of both stages (Figure 9's
-    /// "lookup").
-    pub fn lookup(
-        &self,
-        q: &TreePattern,
-        strategy: Strategy,
-    ) -> (Option<Selection>, StageTimings, usize) {
-        self.snapshot().lookup(q, strategy)
-    }
-
-    /// Produce a human-readable plan for answering `q` under a view
-    /// strategy (errors for base strategies and unanswerable queries).
-    pub fn explain(
-        &self,
-        q: &TreePattern,
-        strategy: Strategy,
-    ) -> Result<crate::explain::Explanation, AnswerError> {
-        self.snapshot().explain(q, strategy)
-    }
-
     /// Answer `q` under `strategy`.
     pub fn answer(&self, q: &TreePattern, strategy: Strategy) -> Result<Answer, AnswerError> {
         self.snapshot()
@@ -569,9 +528,9 @@ mod tests {
     fn incremental_nfa_matches_rebuild() {
         let mut e = engine_with_views(&["//s[t]/p", "//s[p]/f", "//s//p"]);
         let q = e.parse("//s[f//i][t]/p").unwrap();
-        let before = e.filter(&q).candidates.clone();
+        let before = e.snapshot().filter(&q).candidates;
         e.rebuild_nfa();
-        assert_eq!(e.filter(&q).candidates, before);
+        assert_eq!(e.snapshot().filter(&q).candidates, before);
     }
 
     #[test]

@@ -1,8 +1,8 @@
 //! Human-readable query plans: which views were selected, where they join
 //! into the query, what each certifies, and what compensating work remains.
 //!
-//! Produced by [`Engine::explain`](crate::Engine::explain) and rendered by
-//! the CLI's `--explain` flag.
+//! Produced by [`EngineSnapshot::explain`](crate::EngineSnapshot::explain)
+//! and rendered by the CLI's `--explain` flag.
 
 use std::fmt;
 
@@ -157,7 +157,7 @@ mod tests {
         engine.add_view_str("//s[t]/p").unwrap();
         engine.add_view_str("//s[p]/f").unwrap();
         let q = engine.parse("//s[f//i][t]/p").unwrap();
-        let ex = engine.explain(&q, Strategy::Hv).unwrap();
+        let ex = engine.snapshot().explain(&q, Strategy::Hv).unwrap();
         assert_eq!(ex.units.len(), 2);
         assert_eq!(ex.total_views, 2);
         assert!(ex.units[ex.anchor].is_anchor);
@@ -181,7 +181,7 @@ mod tests {
         let mut engine = Engine::new(book_document(), EngineConfig::default());
         engine.add_view_str("//s[f//i][t]/p").unwrap();
         let q = engine.parse("//s[f//i][t]/p").unwrap();
-        let ex = engine.explain(&q, Strategy::Mv).unwrap();
+        let ex = engine.snapshot().explain(&q, Strategy::Mv).unwrap();
         assert_eq!(ex.units.len(), 1);
         assert!(ex.units[0].is_anchor);
     }
@@ -191,6 +191,6 @@ mod tests {
         let mut engine = Engine::new(book_document(), EngineConfig::default());
         engine.add_view_str("//s/t").unwrap();
         let q = engine.parse("//s[f//i]/p").unwrap();
-        assert!(engine.explain(&q, Strategy::Hv).is_err());
+        assert!(engine.snapshot().explain(&q, Strategy::Hv).is_err());
     }
 }

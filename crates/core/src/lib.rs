@@ -84,7 +84,6 @@ pub mod leafcover;
 pub mod materialize;
 pub mod metrics;
 pub mod nfa;
-pub mod oracle;
 pub mod rewrite;
 pub mod select;
 pub mod serve;
@@ -109,13 +108,9 @@ pub use leafcover::{intersect_cover, leaf_cover, leaf_covers, LeafCover, Obligat
 pub use materialize::{MaterializedStore, MaterializedView};
 pub use metrics::{Counter, Hist, MetricsReport, QueryReport, SnapshotMetrics, StageCounters};
 pub use nfa::Nfa;
-pub use oracle::{
-    load_corpus, replay, run_case, run_seed, shrink, BudgetSpec, CaseOutcome, CaseSpec, Injection,
-    Invariant, OracleConfig, Reproducer, RunSummary, Violation,
-};
 pub use rewrite::{
-    rewrite, rewrite_cached, rewrite_intersect, rewrite_intersect_metered, rewrite_metered,
-    rewrite_scan, rewrite_scan_metered, RewriteCache, RewriteError,
+    rewrite, rewrite_cached, rewrite_intersect_metered, rewrite_metered, rewrite_scan,
+    rewrite_scan_metered, RewriteCache, RewriteError,
 };
 pub use select::{
     select_cost_based, select_cost_based_metered, select_heuristic, select_heuristic_metered,

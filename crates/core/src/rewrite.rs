@@ -29,8 +29,9 @@
 //! a galloping merge-intersection and memoized in the [`RewriteCache`] —
 //! so the `admissible` test inside pattern evaluation is a single bit
 //! probe. The legacy per-component scan-merge join is preserved verbatim as
-//! [`rewrite_scan`] and held byte-identical to the galloping join by the
-//! oracle's `JoinEquivalence` invariant and the join-differential tests.
+//! [`rewrite_scan`], a test reference that no engine path runs; the
+//! oracle's `JoinEquivalence` invariant (`xvr_bench::oracle`) and the
+//! join-differential tests hold it byte-identical to the galloping join.
 //!
 //! Together with the soundness of the leaf-cover rule (see
 //! [`crate::leafcover`]) this yields an *equivalent* rewriting: the output
@@ -724,28 +725,10 @@ fn rewrite_gallop(
 /// [`Counter::IntersectComparisons`], [`Counter::IntersectGallopProbes`]);
 /// refinement and the chain evaluation report through the usual `rewrite.*`
 /// counters, so the marginal cost of intersecting is directly readable.
-pub fn rewrite_intersect(
-    q: &TreePattern,
-    selection: &Selection,
-    views: &ViewSet,
-    store: &MaterializedStore,
-    fst: &Fst,
-) -> Result<Vec<DeweyCode>, RewriteError> {
-    rewrite_intersect_metered(
-        q,
-        selection,
-        views,
-        store,
-        fst,
-        None,
-        &mut StageCounters::new(),
-    )
-}
-
-/// [`rewrite_intersect`] with optional refinement memoization through the
-/// snapshot's [`RewriteCache`] (the per-member refined code lists and the
-/// anchor's extraction pairs share the cache keys of the general rewriter)
-/// and observability counters.
+///
+/// Refinement is memoized through `cache` when given (the per-member
+/// refined code lists and the anchor's extraction pairs share the cache
+/// keys of the general rewriter).
 pub fn rewrite_intersect_metered(
     q: &TreePattern,
     selection: &Selection,
@@ -1005,10 +988,10 @@ fn bsearch_cost(len: usize) -> u64 {
 /// The legacy scan-merge holistic join, kept as an independent reference
 /// implementation for the galloping join: per-component [`DeweyCode`]
 /// comparators, hash-built prefix tree, a full binary search per candidate
-/// node and restriction list, no fast path and no memoization. Routed
-/// end-to-end by [`EngineConfig::scan_join`](crate::EngineConfig) and held
-/// byte-identical to [`rewrite`] / [`rewrite_cached`] by the oracle's
-/// `JoinEquivalence` invariant and the join-differential tests.
+/// node and restriction list, no fast path and no memoization. No engine
+/// path runs it: it is the test reference held byte-identical to
+/// [`rewrite`] / [`rewrite_cached`] by the oracle's `JoinEquivalence`
+/// invariant, the join-differential tests and the CI join gate.
 pub fn rewrite_scan(
     q: &TreePattern,
     selection: &Selection,

@@ -43,8 +43,8 @@ pub struct Selection {
     /// `true` for a selection produced by [`select_intersection_metered`]:
     /// every unit binds `m = RET(Q)` and the rewriting must intersect the
     /// units' refined fragment-root sets
-    /// ([`crate::rewrite::rewrite_intersect`]) instead of running the
-    /// general holistic join.
+    /// ([`crate::rewrite::rewrite_intersect_metered`]) instead of running
+    /// the general holistic join.
     pub intersection: bool,
 }
 

@@ -95,18 +95,11 @@ impl SnapshotCell {
 pub struct ServerConfig {
     /// Worker threads used for [`Request::Batch`] fan-out.
     pub jobs: usize,
-    /// Fold every served query into the snapshot's cumulative metrics so
-    /// [`Request::Stats`] is always live (the per-query counter cost is
-    /// integer additions). Defaults to `true`.
-    pub force_metrics: bool,
 }
 
 impl Default for ServerConfig {
     fn default() -> ServerConfig {
-        ServerConfig {
-            jobs: 4,
-            force_metrics: true,
-        }
+        ServerConfig { jobs: 4 }
     }
 }
 
@@ -269,13 +262,11 @@ fn error_response(e: QueryError) -> Response {
     }
 }
 
-/// Apply the server's metrics policy to client-supplied options.
-fn served_options(options: WireOptions, state: &ServerState) -> QueryOptions {
-    let mut q: QueryOptions = options.into();
-    if state.config.force_metrics {
-        q.collect_metrics = true;
-    }
-    q
+/// Client-supplied options with metrics always on: every served query
+/// folds into the snapshot's cumulative metrics, so [`Request::Stats`] is
+/// always live (the per-query counter cost is integer additions).
+fn served_options(options: WireOptions) -> QueryOptions {
+    QueryOptions::from(options).with_metrics()
 }
 
 fn handle_query(query: &str, options: WireOptions, state: &ServerState) -> Response {
@@ -286,7 +277,7 @@ fn handle_query(query: &str, options: WireOptions, state: &ServerState) -> Respo
         Ok(q) => q,
         Err(e) => return error_response(e.into()),
     };
-    let outcome = snap.query(&q, &served_options(options, state));
+    let outcome = snap.query(&q, &served_options(options));
     match outcome.answer {
         Ok(answer) => Response::Answer {
             codes: answer.codes.iter().map(|c| c.to_string()).collect(),
@@ -325,7 +316,7 @@ fn handle_batch(
         }
     }
     let jobs = (jobs as usize).clamp(1, state.config.jobs.max(1));
-    let batch = snap.query_batch(&parsed, &served_options(options, state), jobs);
+    let batch = snap.query_batch(&parsed, &served_options(options), jobs);
     for (slot, answer) in parsed_at.iter().zip(batch.answers) {
         items[*slot] = match answer {
             Ok(a) => BatchItem {

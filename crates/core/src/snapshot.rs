@@ -46,9 +46,7 @@ use crate::leafcover::Obligations;
 use crate::materialize::MaterializedStore;
 use crate::metrics::{Counter, QueryReport, SnapshotMetrics, StageCounters};
 use crate::nfa::Nfa;
-use crate::rewrite::{
-    rewrite_intersect_metered, rewrite_metered, rewrite_scan_metered, RewriteCache,
-};
+use crate::rewrite::{rewrite_intersect_metered, rewrite_metered, RewriteCache};
 use crate::select::{
     select_cost_based_metered, select_heuristic_metered, select_intersection_metered,
     select_minimum_metered, Selection,
@@ -93,7 +91,7 @@ const _: () = {
 /// allowed to touch and which ones the rewriting actually consumed.
 ///
 /// This is the introspection hook of the differential/metamorphic oracle
-/// ([`crate::oracle`]): VFILTER soundness is checked as "every unit the
+/// (`xvr_bench::oracle`): VFILTER soundness is checked as "every unit the
 /// rewriting joined appears among the usable candidates", and answerability
 /// invariants compare `selection_found` across strategies. For the base
 /// strategies (`Bn`, `Bf`) every field is empty.
@@ -134,10 +132,8 @@ impl AnswerTrace {
 pub struct QueryOptions {
     /// Evaluation strategy.
     pub strategy: Strategy,
-    /// Use the snapshot's [`RewriteCache`] (view strategies only).
-    /// Effective only when the snapshot was frozen with
-    /// [`EngineConfig::rewrite_cache`] enabled; `false` forces the
-    /// uncached reference rewriter either way. Defaults to `true`.
+    /// Use the snapshot's [`RewriteCache`] (view strategies only);
+    /// `false` forces the uncached reference rewriter. Defaults to `true`.
     pub use_cache: bool,
     /// Return the [`AnswerTrace`] in the report. Defaults to `false`.
     pub collect_trace: bool,
@@ -439,12 +435,9 @@ impl EngineSnapshot {
     /// and no counter is recorded anywhere: the only residue of the
     /// observability layer is stack-local integer additions.
     pub fn query(&self, q: &TreePattern, options: &QueryOptions) -> QueryOutcome {
-        // `use_cache` opt-out composes with the construction-time switch:
-        // either one off means the uncached reference rewriter runs.
-        let use_cache = options.use_cache && self.config.rewrite_cache;
         let mut counters = StageCounters::new();
         let (answer, trace, timings) =
-            self.run_pipeline(q, options.strategy, use_cache, &mut counters);
+            self.run_pipeline(q, options.strategy, options.use_cache, &mut counters);
         if options.collect_metrics {
             self.metrics.record(answer.is_ok(), &timings, &counters);
         }
@@ -515,8 +508,7 @@ impl EngineSnapshot {
                 let t0 = Instant::now();
                 let result = if selection.intersection {
                     // Intersection selections join by set intersection of
-                    // same-`m` units; the scan-join switch does not apply
-                    // (there is no legacy scan variant of this join).
+                    // same-`m` units.
                     rewrite_intersect_metered(
                         q,
                         &selection,
@@ -524,15 +516,6 @@ impl EngineSnapshot {
                         &self.store,
                         &self.doc.fst,
                         use_cache.then_some(self.rewrite_cache.as_ref()),
-                        counters,
-                    )
-                } else if self.config.scan_join {
-                    rewrite_scan_metered(
-                        q,
-                        &selection,
-                        &self.views,
-                        &self.store,
-                        &self.doc.fst,
                         counters,
                     )
                 } else {
@@ -725,7 +708,6 @@ mod tests {
     #[test]
     fn cached_answers_byte_identical_to_uncached_across_strategies() {
         let snap = snapshot_with_views(&["//s[t]/p", "//s[p]/f", "//s//p", "//s[.//i]", "//*[i]"]);
-        assert!(snap.config().rewrite_cache, "cache on by default");
         let queries = [
             "//s[f//i][t]/p",
             "//s[t]/p",

@@ -156,7 +156,7 @@ pub struct WireOptions {
     /// Use the snapshot's rewrite cache.
     pub use_cache: bool,
     /// Fold the query's counters into the snapshot's cumulative metrics
-    /// (servers may force this on so their stats endpoint stays live).
+    /// (the server folds every served query in, so its stats stay live).
     pub collect_metrics: bool,
 }
 

@@ -7,7 +7,7 @@
 
 use std::path::Path;
 
-use xvr_core::oracle::{load_corpus, replay, OracleConfig};
+use xvr_bench::oracle::{load_corpus, replay, OracleConfig};
 
 fn corpus_dir() -> &'static Path {
     Path::new(concat!(env!("CARGO_MANIFEST_DIR"), "/../../tests/corpus"))
@@ -45,7 +45,7 @@ fn corpus_cases_replay_clean() {
 fn corpus_files_round_trip_through_text_format() {
     for (path, repro) in load_corpus(corpus_dir()).expect("corpus directory should be readable") {
         let text = repro.to_text();
-        let back = xvr_core::oracle::Reproducer::from_text(&text)
+        let back = xvr_bench::oracle::Reproducer::from_text(&text)
             .unwrap_or_else(|e| panic!("{}: re-parse failed: {e}", path.display()));
         assert_eq!(
             back.to_text(),

@@ -86,7 +86,7 @@ fn examples_3_4_and_4_3() {
     let v4 = engine.add_view_str("//s[p]/f").unwrap();
     let q = engine.parse("//s[f//i][t]/p").unwrap();
 
-    let filtered = engine.filter(&q);
+    let filtered = engine.snapshot().filter(&q);
     assert!(filtered.candidates.contains(&v1));
     assert!(
         !filtered.candidates.contains(&ViewId(2)),

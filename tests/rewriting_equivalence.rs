@@ -4,7 +4,7 @@
 
 use proptest::prelude::*;
 
-use xvr_core::{AnswerError, Engine, EngineConfig, Strategy};
+use xvr_core::{AnswerError, Engine, EngineConfig, QueryOptions, Strategy};
 use xvr_pattern::distinct_positive_patterns;
 use xvr_pattern::generator::{QueryConfig, QueryGenerator};
 use xvr_xml::generator::{generate, Config};
@@ -61,76 +61,60 @@ proptest! {
 }
 
 /// Join differential: the galloping flat-code join and the legacy
-/// scan-merge join are byte-identical over random workloads, both
-/// end-to-end (`EngineConfig::scan_join` routes the whole pipeline through
-/// the scan join) and at the unit level (both joins run on the *same*
-/// selection). The oracle sweeps the same property as
-/// `join_equivalence` over full XMark-like cases in CI.
+/// scan-merge join are byte-identical over random workloads. Both joins run
+/// on the *same* `Mv` and `Hv` selections, and the snapshot's cached
+/// pipeline answer must match the scan join too. The oracle sweeps the same
+/// property as `join_equivalence` over full XMark-like cases in CI.
 #[test]
 fn galloping_and_scan_joins_agree() {
-    let mut checked_engine = 0usize;
-    let mut checked_unit = 0usize;
+    let mut checked = 0usize;
     for seed in 0..6u64 {
-        let views = {
-            let doc = generate(&Config::tiny(seed));
-            distinct_positive_patterns(&doc, QueryConfig::paper_view_workload(seed + 31), 30)
-        };
-        let mut gallop = Engine::new(generate(&Config::tiny(seed)), EngineConfig::default());
-        let mut scan = Engine::new(
-            generate(&Config::tiny(seed)),
-            EngineConfig {
-                scan_join: true,
-                ..EngineConfig::default()
-            },
-        );
+        let doc = generate(&Config::tiny(seed));
+        let views =
+            distinct_positive_patterns(&doc, QueryConfig::paper_view_workload(seed + 31), 30);
+        let mut engine = Engine::new(doc, EngineConfig::default());
         for v in views {
-            gallop.add_view(v.clone());
-            scan.add_view(v);
+            engine.add_view(v);
         }
-        let doc = gallop.doc().clone();
-        let snap = gallop.snapshot();
+        let snap = engine.snapshot();
+        let doc = snap.doc();
         let mut gen = QueryGenerator::new(
             &doc.fst,
             QueryConfig::paper_query_workload(seed.wrapping_add(62)),
         );
         for _ in 0..8 {
-            let Some(q) = gen.generate_positive(&doc, 30) else {
+            let Some(q) = gen.generate_positive(doc, 30) else {
                 continue;
             };
+            let shown = q.display(&doc.labels);
             for strategy in [Strategy::Mv, Strategy::Hv] {
-                let a = gallop.answer(&q, strategy);
-                let b = scan.answer(&q, strategy);
-                match (&a, &b) {
-                    (Ok(x), Ok(y)) => {
-                        assert_eq!(
-                            x.codes,
-                            y.codes,
-                            "{strategy} joins disagree on {} (seed {seed})",
-                            q.display(&doc.labels)
-                        );
-                        checked_engine += 1;
-                    }
-                    (Err(AnswerError::NotAnswerable), Err(AnswerError::NotAnswerable)) => {}
-                    _ => panic!(
-                        "{strategy} join answerability disagrees on {} (seed {seed}): {a:?} vs {b:?}",
-                        q.display(&doc.labels)
-                    ),
-                }
-            }
-            // Unit level: run both joins on the identical selection.
-            if let (Some(sel), _, _) = snap.lookup(&q, Strategy::Hv) {
-                let g = xvr_core::rewrite(&q, &sel, snap.views(), snap.store(), &doc.fst).unwrap();
-                let s =
+                let answer = snap.query(&q, &QueryOptions::strategy(strategy)).answer;
+                let Some(sel) = snap.lookup(&q, strategy).0 else {
+                    assert_eq!(
+                        answer.unwrap_err(),
+                        AnswerError::NotAnswerable,
+                        "{strategy} on {shown} (seed {seed})"
+                    );
+                    continue;
+                };
+                let scan =
                     xvr_core::rewrite_scan(&q, &sel, snap.views(), snap.store(), &doc.fst).unwrap();
-                assert_eq!(g, s, "unit-level joins disagree (seed {seed})");
-                checked_unit += 1;
+                let gallop =
+                    xvr_core::rewrite(&q, &sel, snap.views(), snap.store(), &doc.fst).unwrap();
+                assert_eq!(
+                    gallop, scan,
+                    "{strategy} joins disagree on {shown} (seed {seed})"
+                );
+                assert_eq!(
+                    answer.unwrap().codes,
+                    scan,
+                    "{strategy} pipeline disagrees with the scan join on {shown} (seed {seed})"
+                );
+                checked += 1;
             }
         }
     }
-    assert!(
-        checked_engine > 0 && checked_unit > 0,
-        "differential never exercised the joins ({checked_engine}, {checked_unit})"
-    );
+    assert!(checked > 0, "differential never exercised the joins");
 }
 
 /// Aggregate sanity: across many seeds, a healthy fraction of queries is

@@ -213,9 +213,10 @@ fn swap_under_concurrent_readers_is_atomic() {
 
 // --- Server over real TCP ------------------------------------------------
 
-/// End-to-end over TCP: ping, query, batch, stats, add-view (bumping the
-/// epoch), error mapping for bad queries, and a malformed-but-well-framed
-/// payload answered with `BadRequest` on a connection that stays usable.
+/// End-to-end over TCP: ping, query, batch, stats (counting every served
+/// query), add-view (bumping the epoch), error mapping for bad queries,
+/// and a malformed-but-well-framed payload answered with `BadRequest` on
+/// a connection that stays usable.
 #[test]
 fn server_request_response_cycle() {
     let (engine, sources) = planted_engine(0.002);
@@ -305,6 +306,25 @@ fn server_request_response_cycle() {
             }
         }
         other => panic!("expected a batch, got {other:?}"),
+    }
+
+    // Every served query counts, though no request asked for metrics:
+    // the two single queries that parsed (one answered, one
+    // NotAnswerable) plus the four batch items that parsed (all
+    // answered). The counters are per snapshot, so check before the swap.
+    let resp = client.call(&Request::Stats).unwrap();
+    match resp {
+        Response::Stats {
+            epoch,
+            queries,
+            answered,
+            ..
+        } => {
+            assert_eq!(epoch, 0);
+            assert_eq!(queries, 2 + 4);
+            assert_eq!(answered, 1 + 4);
+        }
+        other => panic!("expected stats, got {other:?}"),
     }
 
     // A well-framed but undecodable payload: BadRequest, connection lives.
