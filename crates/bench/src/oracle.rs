@@ -28,7 +28,8 @@
 //!     same outcomes at every `jobs` level
 //!     ([`Invariant::JobsDeterminism`]).
 //!   - Cache determinism: the cached rewrite path must be byte-identical
-//!     to the uncached reference rewriter for every view strategy
+//!     to the uncached reference rewriter for every view strategy, with
+//!     the same trace (usable views, units, anchor)
 //!     ([`Invariant::CacheDeterminism`]).
 //!   - Join equivalence: the galloping flat-code holistic join must be
 //!     byte-identical to the legacy scan-merge join on the same selection
@@ -511,6 +512,20 @@ fn describe(r: &Result<xvr_core::engine::Answer, AnswerError>) -> String {
     }
 }
 
+/// Whether two traces record the same plan: usable views, units, anchor.
+fn same_plan(a: &AnswerTrace, b: &AnswerTrace) -> bool {
+    a.usable == b.usable && a.units == b.units && a.anchor == b.anchor
+}
+
+fn describe_plan(t: &AnswerTrace) -> String {
+    format!(
+        "{} usable, {} units, anchor {:?}",
+        t.usable.len(),
+        t.units.len(),
+        t.anchor
+    )
+}
+
 /// Apply the planted bug to the targeted strategy's result/trace pair
 /// (`Hv` for the classic injections, `HvIntersect` for the intersect one).
 fn inject(
@@ -618,26 +633,28 @@ fn check_query(
         let mut result = outcome.answer;
         let mut trace = outcome.report.and_then(|r| r.trace).unwrap_or_default();
         // Cache determinism: the cached path (just taken above) must
-        // agree with the uncached reference rewriter. Checked against
-        // the pre-injection result, on purpose: injections model pipeline
-        // bugs and should trip only their own invariant.
+        // agree with the uncached reference pipeline, in answer and in
+        // trace (usable views, units, anchor). Checked against the
+        // pre-injection result, on purpose: injections model pipeline bugs
+        // and should trip only their own invariant.
         if !matches!(s, Strategy::Bf) {
-            let uncached = snap
-                .query(q, &QueryOptions::strategy(s).with_cache(false))
-                .answer;
-            let same = match (&result, &uncached) {
+            let uncached = snap.query(q, &QueryOptions::strategy(s).with_cache(false).with_trace());
+            let uncached_trace = uncached.report.and_then(|r| r.trace).unwrap_or_default();
+            let same_answer = match (&result, &uncached.answer) {
                 (Ok(a), Ok(b)) => a.codes == b.codes,
                 (Err(a), Err(b)) => a == b,
                 _ => false,
             };
-            if !same {
+            if !same_answer || !same_plan(&trace, &uncached_trace) {
                 out.violations.push(fail(
                     Invariant::CacheDeterminism,
                     Some(s),
                     format!(
-                        "cached rewrite ({}) disagrees with uncached reference ({})",
+                        "cached rewrite ({}; {}) disagrees with uncached reference ({}; {})",
                         describe(&result),
-                        describe(&uncached)
+                        describe_plan(&trace),
+                        describe(&uncached.answer),
+                        describe_plan(&uncached_trace)
                     ),
                 ));
             }

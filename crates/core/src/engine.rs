@@ -15,9 +15,9 @@
 //! The engine is the **writer** half of a writer/reader split: it owns all
 //! mutation (view registration, document appends, label growth) and hands
 //! out immutable [`EngineSnapshot`]s that carry the whole read path and
-//! can be shared freely across threads. The engine's own query methods
-//! (`answer`, `filter`, `lookup`, `explain`) are conveniences that
-//! delegate to an ephemeral snapshot.
+//! can be shared freely across threads. The engine's one query method,
+//! `answer`, is a convenience that delegates to an ephemeral snapshot;
+//! `filter`, `lookup` and `explain` live on [`EngineSnapshot`] only.
 
 use std::collections::HashSet;
 use std::fmt;
@@ -248,7 +248,9 @@ impl Default for EngineConfig {
 /// Every component lives behind an [`Arc`] so that [`Engine::snapshot`]
 /// is practically free; mutation goes through [`Arc::make_mut`], which
 /// clones a component only while a snapshot still holds the old version
-/// (copy-on-write).
+/// (copy-on-write). The catalog and the store keep each view behind an
+/// `Arc` of its own, so such a clone copies pointers, not fragments: a
+/// write costs what it changes.
 pub struct Engine {
     doc: Arc<Document>,
     labels: Arc<LabelTable>,

@@ -14,8 +14,6 @@
 //! Proposition 3.1. The filter thus keeps the paper's guarantee: false
 //! positives allowed, false negatives never.
 
-use std::collections::HashSet;
-
 use xvr_pattern::{decompose, normalize, TreePattern};
 
 use crate::metrics::{Counter, StageCounters};
@@ -132,8 +130,11 @@ pub fn filter_views_metered(
     // Matched view-path indices per view, as bitmasks (a minimized pattern
     // with > 64 root-to-leaf paths does not occur in practice; the
     // registration path asserts it). Dense arrays beat hash maps here: the
-    // automaton produces many hits per query path.
+    // automaton produces many hits per query path. `hit` lists each view
+    // the first time any of its paths matches, so deciding candidates
+    // costs the number of hit views, not the size of the catalog.
     let mut matched: Vec<u64> = vec![0; views.len()];
+    let mut hit: Vec<ViewId> = Vec::new();
     let mut lists: Vec<Vec<(ViewId, u32)>> = Vec::with_capacity(d.paths.len());
     let mut best_len: Vec<u32> = vec![0; views.len()];
     let mut touched: Vec<ViewId> = Vec::new();
@@ -147,7 +148,11 @@ pub fn filter_views_metered(
             if options.attr_pruning && entry.attr_mask & !provided != 0 {
                 return; // the query path cannot supply a required attribute
             }
-            matched[entry.view.index()] |= 1u64 << (entry.path_idx.min(63));
+            let mask = &mut matched[entry.view.index()];
+            if *mask == 0 {
+                hit.push(entry.view);
+            }
+            *mask |= 1u64 << (entry.path_idx.min(63));
             let slot = &mut best_len[entry.view.index()];
             if *slot == 0 {
                 touched.push(entry.view);
@@ -155,30 +160,36 @@ pub fn filter_views_metered(
             *slot = (*slot).max(entry.path_len);
         });
         counters.add(Counter::FilterNfaStates, states);
-        let mut list: Vec<(ViewId, u32)> = touched
-            .drain(..)
-            .map(|v| {
-                let len = best_len[v.index()];
-                best_len[v.index()] = 0;
-                (v, len)
-            })
-            .collect();
-        list.sort_by(|a, b| b.1.cmp(&a.1).then(a.0.cmp(&b.0)));
-        lists.push(list);
+        lists.push(
+            touched
+                .drain(..)
+                .map(|v| {
+                    let len = best_len[v.index()];
+                    best_len[v.index()] = 0;
+                    (v, len)
+                })
+                .collect(),
+        );
     }
-    let candidates: Vec<ViewId> = views
-        .ids()
+    let mut candidates: Vec<ViewId> = hit
+        .into_iter()
         .filter(|v| matched[v.index()].count_ones() as usize == views.view(*v).path_count())
         .collect();
+    candidates.sort_unstable();
     counters.add(Counter::FilterViewsAdmitted, candidates.len() as u64);
     counters.add(
         Counter::FilterViewsRejected,
         (views.len() - candidates.len()) as u64,
     );
-    // Lines 22–26: drop filtered views from the per-path lists.
-    let keep: HashSet<ViewId> = candidates.iter().copied().collect();
+    // Lines 22–26: drop filtered views from the per-path lists, marking
+    // candidates in `best_len` (all zero again after the loop above). The
+    // sort order is total, so sorting after the drop gives the same lists.
+    for &v in &candidates {
+        best_len[v.index()] = 1;
+    }
     for list in &mut lists {
-        list.retain(|(v, _)| keep.contains(v));
+        list.retain(|(v, _)| best_len[v.index()] != 0);
+        list.sort_unstable_by(|a, b| b.1.cmp(&a.1).then(a.0.cmp(&b.0)));
         counters.add(Counter::FilterListEntries, list.len() as u64);
         counters.list_sizes.record(list.len() as u64);
     }

@@ -9,6 +9,7 @@
 use std::collections::HashMap;
 use std::io::{self, BufRead, Write};
 use std::path::Path;
+use std::sync::Arc;
 
 use xvr_pattern::eval;
 use xvr_xml::{DeweyAssignment, DeweyCode, Document, FragmentSet};
@@ -68,9 +69,13 @@ impl MaterializedView {
 }
 
 /// Store of materialized views, indexed by [`ViewId`].
+///
+/// Each materialization sits behind its own [`Arc`]: cloning the store
+/// copies a table of pointers, and (re-)materializing a view replaces only
+/// that view's entry, so a clone keeps sharing every view it did not touch.
 #[derive(Clone, Debug, Default)]
 pub struct MaterializedStore {
-    views: HashMap<ViewId, MaterializedView>,
+    views: HashMap<ViewId, Arc<MaterializedView>>,
 }
 
 impl MaterializedStore {
@@ -100,25 +105,13 @@ impl MaterializedStore {
         let pattern = &set.view(id).pattern;
         let roots = eval(pattern, &doc.tree);
         let fragments = FragmentSet::materialize(doc, &roots, byte_budget);
-        let local_dewey = fragments
-            .trees()
-            .iter()
-            .map(|t| DeweyAssignment::assign(t, &doc.fst))
-            .collect();
-        self.views.insert(
-            id,
-            MaterializedView {
-                view: id,
-                fragments,
-                local_dewey,
-            },
-        );
+        self.install(doc, id, fragments);
         &self.views[&id]
     }
 
     /// Access a materialized view.
     pub fn get(&self, id: ViewId) -> Option<&MaterializedView> {
-        self.views.get(&id)
+        self.views.get(&id).map(|v| &**v)
     }
 
     /// Number of materialized views.
@@ -148,11 +141,11 @@ impl MaterializedStore {
             .collect();
         self.views.insert(
             id,
-            MaterializedView {
+            Arc::new(MaterializedView {
                 view: id,
                 fragments,
                 local_dewey,
-            },
+            }),
         );
     }
 

@@ -160,16 +160,16 @@ impl Nfa {
     /// aggregate (the filtering algorithm keeps sets).
     pub fn run<F: FnMut(&AcceptEntry)>(&self, symbols: &[PathSymbol], mut on_hit: F) -> u64 {
         let mut touched: u64 = 0;
-        let mut active: Vec<StateId> = Vec::with_capacity(8);
-        let mut next: Vec<StateId> = Vec::with_capacity(8);
+        let mut active = StateSet::new(self.states.len());
+        let mut next = StateSet::new(self.states.len());
         touched += self.activate(self.start(), &mut active, &mut on_hit);
         for &sym in symbols {
             next.clear();
-            for &s in &active {
+            for &s in &active.members {
                 let st = &self.states[s.0 as usize];
                 // Hub self-loop: stays active on any symbol (re-announce is
                 // harmless; acceptance is recorded on activation only).
-                if st.is_hub && push_unique(&mut next, s) {
+                if st.is_hub && next.insert(s) {
                     touched += 1;
                 }
                 match sym {
@@ -192,7 +192,7 @@ impl Nfa {
                 }
             }
             std::mem::swap(&mut active, &mut next);
-            if active.is_empty() {
+            if active.members.is_empty() {
                 break;
             }
         }
@@ -204,11 +204,11 @@ impl Nfa {
     fn activate<F: FnMut(&AcceptEntry)>(
         &self,
         s: StateId,
-        set: &mut Vec<StateId>,
+        set: &mut StateSet,
         on_hit: &mut F,
     ) -> u64 {
         let mut touched = 0;
-        if push_unique(set, s) {
+        if set.insert(s) {
             touched += 1;
             for e in &self.states[s.0 as usize].accepts {
                 on_hit(e);
@@ -221,12 +221,38 @@ impl Nfa {
     }
 }
 
-fn push_unique(set: &mut Vec<StateId>, s: StateId) -> bool {
-    if set.contains(&s) {
-        false
-    } else {
-        set.push(s);
+/// A set of active states: its members in activation order, plus a bitmap
+/// over every state of the automaton for constant-time membership.
+struct StateSet {
+    members: Vec<StateId>,
+    bits: Vec<u64>,
+}
+
+impl StateSet {
+    fn new(states: usize) -> StateSet {
+        StateSet {
+            members: Vec::with_capacity(8),
+            bits: vec![0; states.div_ceil(64)],
+        }
+    }
+
+    /// Add `s`; false when it is already a member.
+    fn insert(&mut self, s: StateId) -> bool {
+        let (word, bit) = (s.0 as usize / 64, 1u64 << (s.0 % 64));
+        if self.bits[word] & bit != 0 {
+            return false;
+        }
+        self.bits[word] |= bit;
+        self.members.push(s);
         true
+    }
+
+    /// Empty the set. Every set bit belongs to a member, so zeroing the
+    /// members' words clears the bitmap.
+    fn clear(&mut self) {
+        for s in self.members.drain(..) {
+            self.bits[s.0 as usize / 64] = 0;
+        }
     }
 }
 
@@ -388,6 +414,22 @@ mod tests {
         let nfa = nfa_of(&["/s", "/s/p"], &mut labels);
         let q = path("/s/x/p", &mut labels);
         assert_eq!(accepted(&nfa, &q), vec![0]);
+    }
+
+    #[test]
+    fn each_state_is_active_once_per_step() {
+        // States of //a//b: start, its hub h1, a, a's hub h2, b. On the
+        // second `a`, h2 is re-entered through a's ε-edge and kept by its
+        // own self-loop; it must count, and later fire, only once.
+        let mut labels = LabelTable::new();
+        let nfa = nfa_of(&["//a//b"], &mut labels);
+        let q = path("/a/a/b", &mut labels);
+        let mut hits = 0;
+        let touched = nfa.run(&q.symbols(), |_| hits += 1);
+        // Activations: start, h1; then h1, a, h2; again h1, a, h2; then
+        // h1, h2, b.
+        assert_eq!(touched, 2 + 3 + 3 + 3);
+        assert_eq!(hits, 1);
     }
 
     #[test]

@@ -77,11 +77,18 @@ impl SnapshotCell {
     }
 
     /// Publish `snapshot`, returning the new epoch. In-flight loads keep
-    /// the previous snapshot; subsequent loads get this one.
+    /// the previous snapshot; subsequent loads get this one. The write
+    /// lock covers only the pointer store: the previous snapshot is
+    /// released after the lock, so no `load` waits behind freeing it.
     pub fn swap(&self, snapshot: EngineSnapshot) -> u64 {
-        let mut slot = self.slot.write().expect("snapshot cell poisoned");
-        *slot = Arc::new(snapshot);
-        self.epoch.fetch_add(1, Ordering::AcqRel) + 1
+        let next = Arc::new(snapshot);
+        let (old, epoch) = {
+            let mut slot = self.slot.write().expect("snapshot cell poisoned");
+            let old = std::mem::replace(&mut *slot, next);
+            (old, self.epoch.fetch_add(1, Ordering::AcqRel) + 1)
+        };
+        drop(old);
+        epoch
     }
 
     /// How many swaps have been published.

@@ -820,14 +820,26 @@ mod tests {
         assert!(trace.selection_found());
         assert!(snap.metrics().is_empty(), "trace alone records no metrics");
 
-        let metered = snap.query(&q, &QueryOptions::strategy(Strategy::Hv).with_metrics());
+        // Counters are per query: every metered query runs VFILTER exactly
+        // once, also when the rewrite cache already holds its answer.
+        let options = QueryOptions::strategy(Strategy::Hv).with_metrics();
+        let metered = snap.query(&q, &options);
         let report = metered.report.expect("metrics requested");
         let counters = report.counters.expect("metrics requested");
-        assert!(counters.get(Counter::FilterRuns) >= 1);
+        assert_eq!(counters.get(Counter::FilterRuns), 1);
         assert!(counters.get(Counter::RewriteRuns) >= 1);
         assert!(report.trace.is_none());
         assert_eq!(snap.metrics().queries(), 1);
         assert!(!snap.metrics().report().is_empty());
+
+        let repeat = snap.query(&q, &options);
+        let counters = repeat
+            .report
+            .and_then(|r| r.counters)
+            .expect("metrics requested");
+        assert_eq!(counters.get(Counter::FilterRuns), 1);
+        assert_eq!(repeat.answer.unwrap().codes, metered.answer.unwrap().codes);
+        assert_eq!(snap.metrics().queries(), 2);
     }
 
     #[test]

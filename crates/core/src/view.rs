@@ -1,6 +1,8 @@
 //! View catalog: patterns registered as materializable views, with their
 //! decompositions pre-computed for VFILTER construction.
 
+use std::sync::Arc;
+
 use xvr_pattern::decompose::Decomposition;
 use xvr_pattern::{decompose, minimize, normalize, PathPattern, TreePattern};
 
@@ -40,9 +42,13 @@ impl View {
 }
 
 /// An append-only catalog of views sharing one label space.
+///
+/// Each view sits behind its own [`Arc`], so cloning the catalog (as a
+/// write under a live snapshot does) copies a table of pointers and shares
+/// every registered view with the clone.
 #[derive(Clone, Debug, Default)]
 pub struct ViewSet {
-    views: Vec<View>,
+    views: Vec<Arc<View>>,
 }
 
 impl ViewSet {
@@ -62,13 +68,13 @@ impl ViewSet {
         );
         let normalized_paths = decomposition.paths.iter().map(normalize).collect();
         let path_attr_masks = decomposition.attr_required_masks.clone();
-        self.views.push(View {
+        self.views.push(Arc::new(View {
             id,
             pattern,
             decomposition,
             normalized_paths,
             path_attr_masks,
-        });
+        }));
         id
     }
 
@@ -89,7 +95,7 @@ impl ViewSet {
 
     /// Iterate over all views.
     pub fn iter(&self) -> impl Iterator<Item = &View> {
-        self.views.iter()
+        self.views.iter().map(|v| &**v)
     }
 
     /// Iterate over all view ids.

@@ -6,6 +6,7 @@ use xvr_bench::{build_paper_engine, paper_document, xmark_queries};
 use xvr_core::{AnswerError, Engine, EngineConfig, EngineSnapshot, QueryOptions, Strategy};
 use xvr_pattern::TreePattern;
 use xvr_xml::samples::book_document;
+use xvr_xml::{CodeStability, DeweyCode};
 
 /// Hand-rolled compile-time proof that the snapshot crosses threads: if
 /// `EngineSnapshot` ever loses `Send + Sync`, this file stops compiling.
@@ -199,4 +200,99 @@ fn batch_keeps_input_order_when_queries_error() {
             }
         }
     }
+}
+
+/// Every strategy's answer (or error) to every query, rendered.
+fn rendered_answers(snap: &EngineSnapshot, queries: &[&str], use_cache: bool) -> Vec<String> {
+    let mut out = Vec::new();
+    for strategy in Strategy::all_extended() {
+        for src in queries {
+            let q = snap.parse(src).unwrap();
+            let options = QueryOptions::strategy(strategy).with_cache(use_cache);
+            let answer = match snap.query(&q, &options).answer {
+                Ok(a) => a
+                    .codes
+                    .iter()
+                    .map(|c| c.to_string())
+                    .collect::<Vec<_>>()
+                    .join(" "),
+                Err(e) => e.to_string(),
+            };
+            out.push(format!("{strategy} {src}: {answer}"));
+        }
+    }
+    out
+}
+
+/// A write copies only what it changes. After several view registrations
+/// and one document append, a snapshot taken before them answers exactly
+/// as it did, under every strategy, cached and uncached. It still shares
+/// every view definition and every materialization with the newest
+/// snapshot, except the materializations the append redid.
+#[test]
+fn old_snapshot_survives_writes_and_shares_untouched_views() {
+    let queries = [
+        "//s[f//i][t]/p",
+        "//s[t]/p",
+        "/b/s//p",
+        "//s[p]/f",
+        "//f/i",
+        "//s[.//i]",
+        "//nosuchlabel",
+    ];
+    let mut engine = Engine::new(book_document(), EngineConfig::default());
+    for v in ["//s[t]/p", "//s[p]/f", "//f/i", "//s//p", "//s[.//i]"] {
+        engine.add_view_str(v).unwrap();
+    }
+    let old = engine.snapshot();
+    let before = rendered_answers(&old, &queries, true);
+    assert_eq!(rendered_answers(&old, &queries, false), before);
+
+    for v in ["//s/t", "//p", "/b/s[f]", "//i", "//*[i]"] {
+        engine.add_view_str(v).unwrap();
+    }
+    let added = engine.snapshot();
+    // Section 0.8.2 has paragraphs already, so the append keeps every code.
+    let stats = engine
+        .append_xml(&"0.8.2".parse::<DeweyCode>().unwrap(), "<p>new</p>")
+        .unwrap();
+    assert_eq!(stats.stability, CodeStability::Stable);
+    let new = engine.snapshot();
+
+    assert_eq!(rendered_answers(&old, &queries, true), before);
+    assert_eq!(rendered_answers(&old, &queries, false), before);
+
+    // The append redoes exactly the views that mention `p` or a wildcard.
+    let p = new.labels().get("p").unwrap();
+    let redone = |snap: &EngineSnapshot, id| {
+        let pattern = &snap.views().view(id).pattern;
+        pattern
+            .ids()
+            .any(|n| pattern.label(n).label().is_none_or(|l| l == p))
+    };
+    for (snap, what) in [(&old, "old"), (&added, "pre-append")] {
+        let mut unshared = 0;
+        for view in snap.views().iter() {
+            let id = view.id;
+            assert!(
+                std::ptr::eq(view, new.views().view(id)),
+                "{what} snapshot: view {id:?} definition was copied"
+            );
+            let shared = std::ptr::eq(snap.store().get(id).unwrap(), new.store().get(id).unwrap());
+            assert_eq!(
+                shared,
+                !redone(snap, id),
+                "{what} snapshot: view {id:?} shared={shared}"
+            );
+            unshared += usize::from(!shared);
+        }
+        if what == "pre-append" {
+            assert_eq!(unshared, stats.views_rematerialized);
+            assert_eq!(snap.views().len() - unshared, stats.views_skipped);
+        }
+    }
+    assert!(
+        stats.views_rematerialized > 0 && stats.views_skipped > 0,
+        "{stats:?}"
+    );
 }
