@@ -24,9 +24,11 @@
 //!    rewrite; the JSON records which strategy answered.
 //!
 //! Results are printed and written as JSON to `BENCH_scale.json` at the
-//! repo root; override with `XVR_BENCH_OUT`. `XVR_BENCH_FAST=1` runs only
-//! scale 0.01 with a small catalog for CI smoke runs. `XVR_BENCH_SCALES`
-//! (comma-separated) and `XVR_BENCH_VIEWS` override the workload size.
+//! repo root, with the host they were measured on (CPUs, the commit from
+//! `XVR_COMMIT`, build profile); override the path with `XVR_BENCH_OUT`.
+//! `XVR_BENCH_FAST=1` runs only scale 0.01 with a small catalog for CI
+//! smoke runs. `XVR_BENCH_SCALES` (comma-separated) and `XVR_BENCH_VIEWS`
+//! override the workload size.
 
 use std::fmt::Write as _;
 use std::time::Instant;
@@ -281,8 +283,9 @@ fn main() {
         .collect();
     write!(
         json,
-        "{{\n  \"benchmark\": \"scale_bench\",\n  \"mode\": \"{}\",\n  \"seed\": {seed},\n  \"node_bytes\": 20,\n  \"scales\": [\n    {}\n  ]\n}}\n",
+        "{{\n  \"benchmark\": \"scale_bench\",\n  \"mode\": \"{}\",\n  \"host\": {},\n  \"seed\": {seed},\n  \"node_bytes\": 20,\n  \"scales\": [\n    {}\n  ]\n}}\n",
         if fast { "fast" } else { "full" },
+        xvr_bench::host_json(),
         scale_objs.join(",\n    ")
     )
     .unwrap();

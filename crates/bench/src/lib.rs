@@ -32,11 +32,55 @@ pub fn answering_strategy(
     }
 }
 
+/// The `"host"` JSON object a `BENCH_*.json` baseline records:
+/// `{"cpus": N, "commit": "…", "profile": "release"}`. `cpus` counts the
+/// machine's CPUs (`cpuN` lines of `/proc/stat`, else the CPUs this
+/// process may use); the commit comes from `XVR_COMMIT` (e.g.
+/// `XVR_COMMIT=$(git describe --always --dirty)`), keeping only
+/// alphanumerics and `-`, and reads `unknown` without it.
+pub fn host_json() -> String {
+    let online = std::fs::read_to_string("/proc/stat").map_or(0, |stat| {
+        stat.lines()
+            .filter(|l| l.starts_with("cpu") && l[3..].starts_with(|c: char| c.is_ascii_digit()))
+            .count()
+    });
+    let allowed = std::thread::available_parallelism().map_or(1, |n| n.get());
+    let mut commit: String = std::env::var("XVR_COMMIT")
+        .unwrap_or_default()
+        .chars()
+        .filter(|c| c.is_ascii_alphanumeric() || *c == '-')
+        .collect();
+    if commit.is_empty() {
+        commit = "unknown".into();
+    }
+    let profile = if cfg!(debug_assertions) {
+        "debug"
+    } else {
+        "release"
+    };
+    format!(
+        "{{\"cpus\": {}, \"commit\": \"{commit}\", \"profile\": \"{profile}\"}}",
+        online.max(allowed)
+    )
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use xvr_core::{Engine, EngineConfig};
     use xvr_xml::samples::book_document;
+
+    #[test]
+    fn host_json_names_cpus_commit_and_profile() {
+        let host = host_json();
+        assert!(host.starts_with("{\"cpus\": "), "{host}");
+        assert!(host.contains("\"commit\": \""), "{host}");
+        assert!(
+            host.ends_with("\"profile\": \"debug\"}")
+                || host.ends_with("\"profile\": \"release\"}"),
+            "{host}"
+        );
+    }
 
     #[test]
     fn answering_strategy_keeps_preferred_on_answer() {

@@ -41,6 +41,11 @@
 //!   - Coverage monotonicity: `HvIntersect` runs the `Hv` heuristic first
 //!     and falls back to intersection only on failure, so it must answer
 //!     every query `Hv` answers ([`Invariant::CoverageMonotonic`]).
+//!   - Eval equivalence: the sparse evaluators (`eval`, `eval_bn`) return
+//!     exactly the dense reference's bindings for the query and for every
+//!     view ([`Invariant::EvalEquivalence`]). The `Bn` ground truth and
+//!     view materialization share the sparse core, so a bug there would
+//!     show on both sides of the differential check and cancel out.
 //!
 //! Cases additionally sweep the per-view **byte budget** (ample, zero, a
 //! tight constant, exact fit — the budget resolved to precisely the
@@ -63,7 +68,7 @@ use std::io;
 use std::path::{Path, PathBuf};
 
 use xvr_pattern::generator::{relax, QueryConfig, QueryGenerator};
-use xvr_pattern::{contains, parse_pattern, TreePattern};
+use xvr_pattern::{contains, eval, eval_bn, eval_restricted, parse_pattern, TreePattern};
 use xvr_xml::generator::{generate, Config};
 use xvr_xml::DeweyCode;
 
@@ -97,6 +102,9 @@ pub enum Invariant {
     IntersectionSoundness,
     /// `Hv` answered but `HvIntersect` (heuristic-first fallback) did not.
     CoverageMonotonic,
+    /// `eval` or `eval_bn` disagrees with the dense reference evaluator on
+    /// the query or on a view.
+    EvalEquivalence,
 }
 
 impl Invariant {
@@ -114,6 +122,7 @@ impl Invariant {
             Invariant::JoinEquivalence => "join_equivalence",
             Invariant::IntersectionSoundness => "intersection_soundness",
             Invariant::CoverageMonotonic => "coverage_monotonic",
+            Invariant::EvalEquivalence => "eval_equivalence",
         }
     }
 
@@ -131,6 +140,7 @@ impl Invariant {
             Invariant::JoinEquivalence,
             Invariant::IntersectionSoundness,
             Invariant::CoverageMonotonic,
+            Invariant::EvalEquivalence,
         ]
         .into_iter()
         .find(|i| i.as_str() == s)
@@ -566,6 +576,51 @@ fn inject(
     }
 }
 
+/// Eval equivalence for one pattern: `eval` and `eval_bn` against the
+/// dense reference (`eval_restricted` with an always-true predicate).
+/// Returns a description of the disagreement, if any.
+fn eval_mismatch(snap: &EngineSnapshot, p: &TreePattern) -> Option<String> {
+    let tree = &snap.doc().tree;
+    let dense = eval_restricted(p, tree, &|_, _| true);
+    let walk = eval(p, tree);
+    let indexed = eval_bn(p, tree, snap.node_index());
+    (walk != dense || indexed != dense).then(|| {
+        format!(
+            "{}: eval {} / eval_bn {} bindings, dense reference {}",
+            p.display(snap.labels()),
+            walk.len(),
+            indexed.len(),
+            dense.len()
+        )
+    })
+}
+
+/// Eval equivalence for every view of the snapshot, checked once per case;
+/// `query` only completes the reproducer.
+fn check_view_evals(
+    snap: &EngineSnapshot,
+    doc_cfg: &Config,
+    view_srcs: &[String],
+    budget: usize,
+    query: &TreePattern,
+) -> Vec<Violation> {
+    snap.views()
+        .iter()
+        .filter_map(|view| eval_mismatch(snap, &view.pattern))
+        .map(|detail| Violation {
+            repro: Reproducer {
+                doc: doc_cfg.clone(),
+                views: view_srcs.to_vec(),
+                query: query.display(snap.labels()).to_string(),
+                budget,
+                invariant: Invariant::EvalEquivalence,
+                strategy: None,
+                detail: format!("view {detail}"),
+            },
+        })
+        .collect()
+}
+
 /// Run every check for a single query against a prepared snapshot.
 /// `view_srcs` are the XPath renderings used for reproducers.
 fn check_query(
@@ -599,6 +654,13 @@ fn check_query(
         .answer
         .expect("Bn always answers")
         .codes;
+    if let Some(detail) = eval_mismatch(snap, q) {
+        out.violations.push(fail(
+            Invariant::EvalEquivalence,
+            None,
+            format!("query {detail}"),
+        ));
+    }
 
     // VFILTER soundness: any view with a homomorphism into the query must
     // survive the filter. While we have the per-view containment verdicts
@@ -957,6 +1019,10 @@ pub fn run_case(spec: &CaseSpec, cfg: &OracleConfig) -> CaseOutcome {
     }
     let snap = engine.snapshot();
     let mut out = CaseOutcome::default();
+    if let Some(q) = queries.first() {
+        out.violations
+            .extend(check_view_evals(&snap, &spec.doc, &view_srcs, budget, q));
+    }
     for (i, q) in queries.iter().enumerate() {
         out.merge(check_query(
             &snap,
@@ -1002,6 +1068,13 @@ pub fn replay(repro: &Reproducer, cfg: &OracleConfig) -> Result<Vec<Violation>, 
         repro.doc.seed,
         cfg,
     );
+    out.violations.extend(check_view_evals(
+        &snap,
+        &repro.doc,
+        &repro.views,
+        repro.budget,
+        &q,
+    ));
     // Exercise batch determinism too (duplicate the query so jobs > 1
     // actually fans out).
     let batch: Vec<TreePattern> = vec![q.clone(), q.clone(), q];
@@ -1426,6 +1499,36 @@ mod tests {
         };
         let violations = replay(&repro, &small_cfg()).unwrap();
         assert!(violations.is_empty(), "{}", violations[0]);
+    }
+
+    #[test]
+    fn eval_equivalence_reproducer_round_trips_and_replays_clean() {
+        let dir = std::env::temp_dir().join(format!("xvr-oracle-eval-{}", std::process::id()));
+        let repro = Reproducer {
+            doc: Config::tiny(12),
+            views: vec!["//*[name]/*".into(), "/site//item[@id]/name".into()],
+            query: "//site//*[name]//*".into(),
+            budget: TIGHT_BUDGET,
+            invariant: Invariant::EvalEquivalence,
+            strategy: None,
+            detail: "query //site//*[name]//*: eval 3 / eval_bn 2 bindings, dense reference 3"
+                .into(),
+        };
+        assert_eq!(
+            Invariant::parse("eval_equivalence"),
+            Some(Invariant::EvalEquivalence)
+        );
+        let path = repro.write_to(&dir).unwrap();
+        assert!(path.ends_with(repro.file_name()));
+        assert!(repro.file_name().starts_with("eval_equivalence-"));
+        let loaded = load_corpus(&dir).unwrap();
+        assert_eq!(loaded.len(), 1);
+        assert_eq!(loaded[0].1.to_text(), repro.to_text());
+        assert_eq!(loaded[0].1.invariant, Invariant::EvalEquivalence);
+        assert_eq!(loaded[0].1.strategy, None);
+        std::fs::remove_dir_all(&dir).unwrap();
+        let violations = replay(&loaded[0].1, &small_cfg()).unwrap();
+        assert!(violations.is_empty(), "{violations:?}");
     }
 
     #[test]

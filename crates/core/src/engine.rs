@@ -371,6 +371,7 @@ impl Engine {
         }
         Arc::make_mut(&mut self.store).materialize(
             &self.doc,
+            &self.node_index,
             &self.views,
             id,
             self.config.fragment_budget,
@@ -413,7 +414,8 @@ impl Engine {
         doc.labels.sync_from(&self.labels);
         let update_labels: HashSet<Label> = sub.iter().map(|n| sub.label(n)).collect();
         let (_, stability) = doc.append_subtree(parent, &sub);
-        // Base indexes always refresh (the document changed).
+        // Base indexes always refresh (the document changed), before any
+        // view is re-materialized: materialization reads the label index.
         self.node_index = Arc::new(NodeIndex::build(&doc.tree, &doc.labels));
         self.path_index = Arc::new(PathIndex::build(&doc.tree, &doc.labels));
         let mut stats = UpdateStats {
@@ -426,7 +428,13 @@ impl Engine {
             let must = stability == CodeStability::Reencoded
                 || view_mentions(&self.views.view(id).pattern, &update_labels);
             if must {
-                store.materialize(&self.doc, &self.views, id, self.config.fragment_budget);
+                store.materialize(
+                    &self.doc,
+                    &self.node_index,
+                    &self.views,
+                    id,
+                    self.config.fragment_budget,
+                );
                 stats.views_rematerialized += 1;
             } else {
                 stats.views_skipped += 1;

@@ -1,6 +1,11 @@
 //! View materialization: evaluating a view over the base document once and
 //! storing the answer-node fragments with their extended Dewey codes.
 //!
+//! Evaluation is [`eval_bn`] over the engine's label index: the sparse
+//! evaluator visits only the nodes whose labels the view names (and the
+//! ancestors its edges reach), so registering a view costs what the view
+//! matches, not the size of the document.
+//!
 //! The paper caps each view's materialization at 128 KB (Section VI);
 //! truncated views are kept in the store but flagged — equivalent rewriting
 //! must not use them (their fragment set is incomplete), so selection skips
@@ -11,8 +16,8 @@ use std::io::{self, BufRead, Write};
 use std::path::Path;
 use std::sync::Arc;
 
-use xvr_pattern::eval;
-use xvr_xml::{DeweyAssignment, DeweyCode, Document, FragmentSet};
+use xvr_pattern::eval_bn;
+use xvr_xml::{DeweyAssignment, DeweyCode, Document, FragmentSet, NodeIndex};
 
 use crate::view::{ViewId, ViewSet};
 
@@ -85,25 +90,28 @@ impl MaterializedStore {
     }
 
     /// Materialize every view of `set` over `doc` under `byte_budget` per
-    /// view.
+    /// view (builds the document's label index once for all of them).
     pub fn materialize_all(doc: &Document, set: &ViewSet, byte_budget: usize) -> MaterializedStore {
+        let index = NodeIndex::build(&doc.tree, &doc.labels);
         let mut store = MaterializedStore::new();
         for view in set.iter() {
-            store.materialize(doc, set, view.id, byte_budget);
+            store.materialize(doc, &index, set, view.id, byte_budget);
         }
         store
     }
 
     /// Materialize one view (replacing any previous materialization).
+    /// `index` is the label index of `doc` as it is now.
     pub fn materialize(
         &mut self,
         doc: &Document,
+        index: &NodeIndex,
         set: &ViewSet,
         id: ViewId,
         byte_budget: usize,
     ) -> &MaterializedView {
         let pattern = &set.view(id).pattern;
-        let roots = eval(pattern, &doc.tree);
+        let roots = eval_bn(pattern, &doc.tree, index);
         let fragments = FragmentSet::materialize(doc, &roots, byte_budget);
         self.install(doc, id, fragments);
         &self.views[&id]
@@ -433,9 +441,10 @@ mod tests {
         let mut set = ViewSet::new();
         let complete = set.add(parse_pattern_with("//s[t]/p", &mut labels).unwrap());
         let truncated = set.add(parse_pattern_with("//s", &mut labels).unwrap());
+        let index = NodeIndex::build(&doc.tree, &doc.labels);
         let mut store = MaterializedStore::new();
-        store.materialize(&doc, &set, complete, usize::MAX);
-        store.materialize(&doc, &set, truncated, 100);
+        store.materialize(&doc, &index, &set, complete, usize::MAX);
+        store.materialize(&doc, &index, &set, truncated, 100);
         assert!(store.get(complete).unwrap().complete());
         assert!(!store.get(truncated).unwrap().complete());
         let dir = std::env::temp_dir().join(format!("xvr-store-trunc-{}", std::process::id()));

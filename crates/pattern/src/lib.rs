@@ -12,9 +12,9 @@
 //! * **containment** tests: the PTIME homomorphism test plus a complete
 //!   canonical-model decision procedure for small patterns ([`containment`]),
 //! * tree-pattern **minimization** ([`minimize`]),
-//! * **evaluation** engines over documents: naive, node-index assisted
-//!   (`BN`), path-index assisted (`BF`), and a Dewey-code holistic twig join
-//!   ([`eval`], [`holistic`]),
+//! * **evaluation** engines over documents: one sparse evaluator seeded by
+//!   a pre-order walk or by the node index (`BN`), path-index assisted
+//!   (`BF`), and a Dewey-code holistic twig join ([`eval`], [`holistic`]),
 //! * a YFilter-style random **query generator** ([`generator`]),
 //! * structural **similarity** and deterministic workload clustering
 //!   ([`similarity`]).

@@ -186,3 +186,67 @@ fn update_errors() {
         Err(xvr_core::UpdateError::Parse(_))
     ));
 }
+
+/// After appends the arena no longer lists nodes in document order. Every
+/// view the appends re-materialize must still equal a fresh engine's
+/// materialization of the same document, and its fragment roots must be
+/// the dense reference evaluator's bindings.
+#[test]
+fn rematerialized_views_equal_a_fresh_engine() {
+    let views = [
+        "//s[t]/p",
+        "//s[p]/f",
+        "//f/i",
+        "//s//*",
+        "/b/s",
+        "//*[i]",
+        "//s[f//i][t]/p",
+    ];
+    let mut engine = Engine::new(book_document(), EngineConfig::default());
+    for v in views {
+        engine.add_view_str(v).unwrap();
+    }
+    for (code, xml) in [
+        ("0.8.2", "<p>inserted</p>"),
+        ("0.8", "<s><t>new</t><p>q</p><f><i/></f></s>"),
+        ("0", "<s><t>tail</t><s><p>deep</p></s></s>"),
+    ] {
+        let stats = engine
+            .append_xml(&code.parse::<DeweyCode>().unwrap(), xml)
+            .unwrap();
+        assert!(stats.views_rematerialized > 0, "{code}: {stats:?}");
+    }
+    let doc = engine.doc();
+    let order: Vec<_> = doc.tree.iter().collect();
+    assert!(
+        order.windows(2).any(|w| w[0] > w[1]),
+        "appends should leave arena order unlike document order"
+    );
+    let mut fresh = Engine::new(doc.clone(), EngineConfig::default());
+    for v in views {
+        fresh.add_view_str(v).unwrap();
+    }
+    let fragments = |e: &Engine, id| {
+        let mv = e.store().get(id).unwrap();
+        let codes: Vec<String> = mv.fragments.codes().map(|c| c.to_string()).collect();
+        let trees: Vec<String> = mv
+            .fragments
+            .trees()
+            .iter()
+            .map(|t| xvr_xml::serialize(t, e.labels()))
+            .collect();
+        (codes, trees, mv.complete())
+    };
+    for id in engine.views().ids() {
+        let pattern = &engine.views().view(id).pattern;
+        let shown = pattern.display(engine.labels()).to_string();
+        let got = fragments(&engine, id);
+        assert_eq!(got, fragments(&fresh, id), "{shown}");
+        let dense: Vec<String> = xvr_pattern::eval_restricted(pattern, &doc.tree, &|_, _| true)
+            .into_iter()
+            .map(|n| doc.dewey.code_of(&doc.tree, n).to_string())
+            .collect();
+        assert!(!dense.is_empty(), "{shown}");
+        assert_eq!(got.0, dense, "{shown}");
+    }
+}
