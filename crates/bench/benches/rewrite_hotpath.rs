@@ -1,5 +1,5 @@
 //! Rewrite hot-path benchmark: uncached reference rewriter vs. the
-//! per-snapshot [`RewriteCache`], measured three ways —
+//! engine-wide [`RewriteCache`], measured three ways —
 //!
 //! 1. **rewrite_only** — direct `rewrite()` vs `rewrite_cached()` calls
 //!    on a pre-built (query, selection, store) pipeline, isolating the
@@ -265,7 +265,7 @@ fn main() {
 
     // --- 3. answer_batch: repeated workload throughput. ------------------
     // The same four queries resubmitted over and over — the shape the
-    // per-snapshot cache is built for: every rewrite after the first four
+    // rewrite cache is built for: every rewrite after the first four
     // is a pure cache hit.
     let batch: Vec<TreePattern> = (0..batch_repeats)
         .flat_map(|_| queries.iter().map(|(_, q)| q.clone()))

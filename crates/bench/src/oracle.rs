@@ -46,6 +46,13 @@
 //!     view ([`Invariant::EvalEquivalence`]). The `Bn` ground truth and
 //!     view materialization share the sparse core, so a bug there would
 //!     show on both sides of the differential check and cancel out.
+//!   - Cache carry: an engine's one rewrite cache survives its writes.
+//!     Warmed on half the views, carried across `add_view` of the rest
+//!     and one `append_xml` (with a snapshot pinned before the append
+//!     still answering, and inserting, after it), the final snapshot
+//!     answers every query byte-identically to a fresh engine over the
+//!     final document, cached and uncached, under every strategy
+//!     ([`Invariant::CacheCarry`]).
 //!
 //! Cases additionally sweep the per-view **byte budget** (ample, zero, a
 //! tight constant, exact fit — the budget resolved to precisely the
@@ -105,6 +112,9 @@ pub enum Invariant {
     /// `eval` or `eval_bn` disagrees with the dense reference evaluator on
     /// the query or on a view.
     EvalEquivalence,
+    /// A snapshot whose rewrite cache was carried across `add_view`s and
+    /// an `append_xml` answers differently from a fresh engine's.
+    CacheCarry,
 }
 
 impl Invariant {
@@ -123,6 +133,7 @@ impl Invariant {
             Invariant::IntersectionSoundness => "intersection_soundness",
             Invariant::CoverageMonotonic => "coverage_monotonic",
             Invariant::EvalEquivalence => "eval_equivalence",
+            Invariant::CacheCarry => "cache_carry",
         }
     }
 
@@ -141,6 +152,7 @@ impl Invariant {
             Invariant::IntersectionSoundness,
             Invariant::CoverageMonotonic,
             Invariant::EvalEquivalence,
+            Invariant::CacheCarry,
         ]
         .into_iter()
         .find(|i| i.as_str() == s)
@@ -522,6 +534,14 @@ fn describe(r: &Result<xvr_core::engine::Answer, AnswerError>) -> String {
     }
 }
 
+/// One-line rendering of an outcome's codes, for violation details.
+fn describe_codes(r: &Result<Vec<DeweyCode>, AnswerError>) -> String {
+    match r {
+        Ok(codes) => format!("{} codes", codes.len()),
+        Err(e) => format!("{e}"),
+    }
+}
+
 /// Whether two traces record the same plan: usable views, units, anchor.
 fn same_plan(a: &AnswerTrace, b: &AnswerTrace) -> bool {
     a.usable == b.usable && a.units == b.units && a.anchor == b.anchor
@@ -619,6 +639,117 @@ fn check_view_evals(
             },
         })
         .collect()
+}
+
+/// The append of the cache-carry check: a copy of a small subtree of
+/// `doc`, under the subtree's own parent (found from `seed`), so the
+/// append keeps every code and re-materializes only the views naming a
+/// label it copies.
+fn carry_append(doc: &xvr_xml::Document, seed: u64) -> Option<(DeweyCode, String)> {
+    let nodes: Vec<xvr_xml::NodeId> = doc.tree.iter().collect();
+    let start = seed as usize % nodes.len().max(1);
+    nodes[start..].iter().chain(&nodes[..start]).find_map(|&n| {
+        let child = doc.tree.first_child(n)?;
+        let xml = xvr_xml::serializer::serialize_subtree(&doc.tree, &doc.labels, child);
+        (xml.len() <= 512).then(|| (doc.dewey.code_of(&doc.tree, n), xml))
+    })
+}
+
+/// Every strategy's outcome for the query `src` on `snap`.
+fn outcomes(
+    snap: &EngineSnapshot,
+    src: &str,
+    strategies: &[Strategy],
+    cached: bool,
+) -> Result<Vec<Result<Vec<DeweyCode>, AnswerError>>, String> {
+    let q = snap.parse(src).map_err(|e| format!("query `{src}`: {e}"))?;
+    Ok(strategies
+        .iter()
+        .map(|&s| {
+            let options = QueryOptions::strategy(s).with_cache(cached);
+            snap.query(&q, &options).answer.map(|a| a.codes)
+        })
+        .collect())
+}
+
+/// Cache carry ([`Invariant::CacheCarry`]): register the first half of
+/// the views and warm the cache with every query, add the rest and warm
+/// again, then append (see [`carry_append`]) with the last snapshot
+/// pinned and answering after the append. The engine's final snapshot,
+/// cached and uncached, must answer like a fresh engine over the final
+/// document with the same views.
+fn check_cache_carry(
+    doc: &xvr_xml::Document,
+    doc_cfg: &Config,
+    view_srcs: &[String],
+    budget: usize,
+    query_srcs: &[String],
+    cfg: &OracleConfig,
+) -> Result<Vec<Violation>, String> {
+    let Some((parent, xml)) = carry_append(doc, doc_cfg.seed) else {
+        return Ok(Vec::new());
+    };
+    let mut engine_cfg = cfg.engine.clone();
+    engine_cfg.fragment_budget = budget;
+    let mut engine = Engine::new(doc.clone(), engine_cfg.clone());
+    let (first, rest) = view_srcs.split_at(view_srcs.len() / 2);
+    let warm = |snap: &EngineSnapshot| -> Result<(), String> {
+        for src in query_srcs {
+            outcomes(snap, src, &cfg.strategies, true)?;
+        }
+        Ok(())
+    };
+    for (i, batch) in [first, rest].into_iter().enumerate() {
+        for v in batch {
+            engine
+                .add_view_str(v)
+                .map_err(|e| format!("view `{v}`: {e}"))?;
+        }
+        if i == 0 {
+            warm(&engine.snapshot())?;
+        }
+    }
+    let pinned = engine.snapshot();
+    warm(&pinned)?;
+    engine
+        .append_xml(&parent, &xml)
+        .map_err(|e| format!("append under {parent}: {e}"))?;
+    let carried = engine.snapshot();
+    warm(&pinned)?;
+    let mut fresh = Engine::new(engine.doc().clone(), engine_cfg);
+    for v in view_srcs {
+        fresh
+            .add_view_str(v)
+            .map_err(|e| format!("view `{v}`: {e}"))?;
+    }
+    let fresh = fresh.snapshot();
+    let mut violations = Vec::new();
+    for src in query_srcs {
+        let want = outcomes(&fresh, src, &cfg.strategies, false)?;
+        for cached in [true, false] {
+            let got = outcomes(&carried, src, &cfg.strategies, cached)?;
+            let Some(i) = (0..want.len()).find(|&i| got[i] != want[i]) else {
+                continue;
+            };
+            violations.push(Violation {
+                repro: Reproducer {
+                    doc: doc_cfg.clone(),
+                    views: view_srcs.to_vec(),
+                    query: src.clone(),
+                    budget,
+                    invariant: Invariant::CacheCarry,
+                    strategy: Some(cfg.strategies[i]),
+                    detail: format!(
+                        "carried snapshot ({}): {}; fresh engine: {}",
+                        if cached { "cached" } else { "uncached" },
+                        describe_codes(&got[i]),
+                        describe_codes(&want[i])
+                    ),
+                },
+            });
+        }
+    }
+    Ok(violations)
 }
 
 /// Run every check for a single query against a prepared snapshot.
@@ -1011,6 +1142,15 @@ pub fn run_case(spec: &CaseSpec, cfg: &OracleConfig) -> CaseOutcome {
             None => queries.push(gen.generate()),
         }
     }
+    let query_srcs: Vec<String> = queries
+        .iter()
+        .map(|q| q.display(&doc.labels).to_string())
+        .collect();
+    let mut out = CaseOutcome::default();
+    match check_cache_carry(&doc, &spec.doc, &view_srcs, budget, &query_srcs, cfg) {
+        Ok(violations) => out.violations.extend(violations),
+        Err(e) => panic!("cache carry: generated views must register: {e}"),
+    }
     let mut engine_cfg = cfg.engine.clone();
     engine_cfg.fragment_budget = budget;
     let mut engine = Engine::new(doc, engine_cfg);
@@ -1018,7 +1158,6 @@ pub fn run_case(spec: &CaseSpec, cfg: &OracleConfig) -> CaseOutcome {
         engine.add_view(v);
     }
     let snap = engine.snapshot();
-    let mut out = CaseOutcome::default();
     if let Some(q) = queries.first() {
         out.violations
             .extend(check_view_evals(&snap, &spec.doc, &view_srcs, budget, q));
@@ -1045,6 +1184,14 @@ pub fn run_case(spec: &CaseSpec, cfg: &OracleConfig) -> CaseOutcome {
 /// i.e. the regression stays fixed).
 pub fn replay(repro: &Reproducer, cfg: &OracleConfig) -> Result<Vec<Violation>, String> {
     let doc = generate(&repro.doc);
+    let carry = check_cache_carry(
+        &doc,
+        &repro.doc,
+        &repro.views,
+        repro.budget,
+        std::slice::from_ref(&repro.query),
+        cfg,
+    )?;
     // The recorded budget is part of the case: it overrides whatever the
     // caller's engine config says.
     let mut engine_cfg = cfg.engine.clone();
@@ -1075,6 +1222,7 @@ pub fn replay(repro: &Reproducer, cfg: &OracleConfig) -> Result<Vec<Violation>, 
         repro.budget,
         &q,
     ));
+    out.violations.extend(carry);
     // Exercise batch determinism too (duplicate the query so jobs > 1
     // actually fans out).
     let batch: Vec<TreePattern> = vec![q.clone(), q.clone(), q];
@@ -1529,6 +1677,61 @@ mod tests {
         std::fs::remove_dir_all(&dir).unwrap();
         let violations = replay(&loaded[0].1, &small_cfg()).unwrap();
         assert!(violations.is_empty(), "{violations:?}");
+    }
+
+    #[test]
+    fn cache_carry_reproducer_round_trips_and_replays_clean() {
+        let dir = std::env::temp_dir().join(format!("xvr-oracle-carry-{}", std::process::id()));
+        let repro = Reproducer {
+            doc: Config::tiny(21),
+            views: vec![
+                "//item[name]/description".into(),
+                "//person/name".into(),
+                "//*[name]".into(),
+                "/site/regions//item".into(),
+            ],
+            query: "//item[name]/description".into(),
+            budget: usize::MAX,
+            invariant: Invariant::CacheCarry,
+            strategy: Some(Strategy::Hv),
+            detail: "carried snapshot (cached): 1 codes; fresh engine: 2 codes".into(),
+        };
+        assert_eq!(Invariant::parse("cache_carry"), Some(Invariant::CacheCarry));
+        let path = repro.write_to(&dir).unwrap();
+        assert!(path.ends_with(repro.file_name()));
+        assert!(repro.file_name().starts_with("cache_carry-"));
+        let loaded = load_corpus(&dir).unwrap();
+        assert_eq!(loaded.len(), 1);
+        assert_eq!(loaded[0].1.to_text(), repro.to_text());
+        assert_eq!(loaded[0].1.invariant, Invariant::CacheCarry);
+        std::fs::remove_dir_all(&dir).unwrap();
+        let violations = replay(&loaded[0].1, &small_cfg()).unwrap();
+        assert!(violations.is_empty(), "{violations:?}");
+    }
+
+    #[test]
+    fn cache_carry_appends_a_stable_subtree_that_redoes_some_views() {
+        for seed in [1u64, 2, 3] {
+            let spec = small_spec(seed);
+            let doc = generate(&spec.doc);
+            let (parent, xml) = carry_append(&doc, spec.doc.seed).expect("a small subtree");
+            let mut engine = Engine::new(doc.clone(), EngineConfig::default());
+            for v in ["//*", "//nosuchlabel"] {
+                engine.add_view_str(v).unwrap();
+            }
+            let stats = engine.append_xml(&parent, &xml).unwrap();
+            assert_eq!(
+                stats.stability,
+                xvr_xml::CodeStability::Stable,
+                "seed {seed}"
+            );
+            assert_eq!(
+                (stats.views_rematerialized, stats.views_skipped),
+                (1, 1),
+                "seed {seed}"
+            );
+            assert!(engine.doc().len() > doc.len());
+        }
     }
 
     #[test]

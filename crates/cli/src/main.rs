@@ -578,7 +578,7 @@ fn stats(argv: &[String]) -> Result<ExitCode, CliError> {
             batch.counters.get(xvr_core::Counter::IntersectAnswered),
         );
     }
-    outln!("{}", snap.metrics().report());
+    outln!("{}", snap.metrics_report());
     Ok(ExitCode::SUCCESS)
 }
 

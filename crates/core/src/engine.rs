@@ -30,7 +30,7 @@ use crate::filter::build_nfa;
 use crate::materialize::MaterializedStore;
 use crate::metrics::SnapshotMetrics;
 use crate::nfa::{AcceptEntry, Nfa};
-use crate::rewrite::{RewriteCache, RewriteError};
+use crate::rewrite::{view_gen, RewriteCache, RewriteError};
 use crate::snapshot::{EngineSnapshot, QueryOptions};
 use crate::view::{ViewId, ViewSet};
 
@@ -251,6 +251,11 @@ impl Default for EngineConfig {
 /// (copy-on-write). The catalog and the store keep each view behind an
 /// `Arc` of its own, so such a clone copies pointers, not fragments: a
 /// write costs what it changes.
+///
+/// Two components are shared rather than frozen: the [`RewriteCache`] and
+/// the cumulative [`SnapshotMetrics`]. Every snapshot of the engine holds
+/// the same instance of each, and writes keep them, so a write neither
+/// empties the readers' cache nor resets their counts.
 pub struct Engine {
     doc: Arc<Document>,
     labels: Arc<LabelTable>,
@@ -260,6 +265,8 @@ pub struct Engine {
     node_index: Arc<NodeIndex>,
     path_index: Arc<PathIndex>,
     config: EngineConfig,
+    rewrite_cache: Arc<RewriteCache>,
+    metrics: Arc<SnapshotMetrics>,
 }
 
 impl Engine {
@@ -284,18 +291,29 @@ impl Engine {
             node_index: Arc::new(node_index),
             path_index: Arc::new(path_index),
             config,
+            rewrite_cache: Arc::new(RewriteCache::new()),
+            metrics: Arc::new(SnapshotMetrics::new()),
         }
+    }
+
+    /// Share `previous`'s cumulative metrics from now on, so the counts
+    /// survive replacing one engine with another (a server swapping
+    /// documents). The rewrite cache is not shared: its entries belong to
+    /// `previous`'s materializations.
+    pub fn inherit_metrics(&mut self, previous: &Engine) {
+        self.metrics = Arc::clone(&previous.metrics);
     }
 
     /// Freeze the current state into an immutable, `Send + Sync`
     /// [`EngineSnapshot`] carrying the full read path.
     ///
-    /// Costs eight reference-count bumps — no data is copied. Later
+    /// Costs nine reference-count bumps — no data is copied. Later
     /// engine mutations copy-on-write only the components they touch, so
     /// outstanding snapshots keep observing exactly the state they froze.
-    /// Every snapshot starts with a fresh [`RewriteCache`] (shared by its
-    /// clones), so cached rewriting can never observe state from before a
-    /// mutation: cache invalidation *is* taking a new snapshot.
+    /// Every snapshot shares the engine's one [`RewriteCache`] and
+    /// [`SnapshotMetrics`]. Sharing the cache across writes is safe
+    /// because its keys carry each materialization's generation: a
+    /// snapshot only ever reads entries computed from its own fragments.
     pub fn snapshot(&self) -> EngineSnapshot {
         EngineSnapshot {
             doc: Arc::clone(&self.doc),
@@ -306,8 +324,8 @@ impl Engine {
             node_index: Arc::clone(&self.node_index),
             path_index: Arc::clone(&self.path_index),
             config: self.config.clone(),
-            rewrite_cache: Arc::new(RewriteCache::new()),
-            metrics: Arc::new(SnapshotMetrics::new()),
+            rewrite_cache: Arc::clone(&self.rewrite_cache),
+            metrics: Arc::clone(&self.metrics),
         }
     }
 
@@ -396,6 +414,10 @@ impl Engine {
     /// can change, so only those are re-materialized — unless the append
     /// grew a child alphabet, which re-encodes the document and stales
     /// every fragment (see [`CodeStability`]).
+    ///
+    /// A re-materialized view gets a new generation, so no snapshot can
+    /// read rewrite-cache entries of its old fragments; they are evicted
+    /// here to free their memory.
     pub fn append_xml(
         &mut self,
         parent_code: &DeweyCode,
@@ -424,10 +446,12 @@ impl Engine {
             views_skipped: 0,
         };
         let store = Arc::make_mut(&mut self.store);
+        let mut stale = HashSet::new();
         for id in self.views.ids() {
             let must = stability == CodeStability::Reencoded
                 || view_mentions(&self.views.view(id).pattern, &update_labels);
             if must {
+                stale.extend(store.get(id).map(view_gen));
                 store.materialize(
                     &self.doc,
                     &self.node_index,
@@ -440,6 +464,7 @@ impl Engine {
                 stats.views_skipped += 1;
             }
         }
+        self.rewrite_cache.evict(&stale);
         Ok(stats)
     }
 
@@ -558,6 +583,146 @@ mod tests {
         let got = e2.answer(&q2, Strategy::Hv).unwrap().codes;
         assert_eq!(got, want);
         std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    /// Hits and misses of one metered query.
+    fn cache_lookups(snap: &EngineSnapshot, q: &TreePattern) -> (u64, u64) {
+        let options = QueryOptions::strategy(Strategy::Hv).with_metrics();
+        let counters = snap.query(q, &options).report.unwrap().counters.unwrap();
+        (
+            counters.get(crate::Counter::RewriteCacheHits),
+            counters.get(crate::Counter::RewriteCacheMisses),
+        )
+    }
+
+    #[test]
+    fn add_view_keeps_the_rewrite_cache_and_append_evicts_stale_entries() {
+        let mut e = engine_with_views(&["//s[t]/p", "//s[p]/f", "//f/i"]);
+        let join = e.parse("//s[f//i][t]/p").unwrap();
+        let single = e.parse("//f/i").unwrap();
+        let s0 = e.snapshot();
+        assert_eq!(cache_lookups(&s0, &join).0, 0, "cold cache");
+        cache_lookups(&s0, &single);
+        let warm = e.rewrite_cache.len();
+        assert!(warm > 0);
+
+        // A new view leaves every existing entry valid: the next snapshot
+        // answers the same queries from the cache alone.
+        e.add_view_str("//s//p").unwrap();
+        let s1 = e.snapshot();
+        assert!(std::ptr::eq(s0.rewrite_cache(), s1.rewrite_cache()));
+        assert_eq!(e.rewrite_cache.len(), warm);
+        for q in [&join, &single] {
+            let (hits, misses) = cache_lookups(&s1, q);
+            assert!(hits > 0 && misses == 0, "{hits} hits, {misses} misses");
+        }
+
+        // The append re-materializes the views naming `p` and keeps
+        // `//f/i`: only the entries of the redone views go.
+        e.append_xml(&"0.8.2".parse::<DeweyCode>().unwrap(), "<p>new</p>")
+            .unwrap();
+        let s2 = e.snapshot();
+        assert!(e.rewrite_cache.len() < warm);
+        assert_eq!(cache_lookups(&s2, &single), (2, 0));
+        let (_, misses) = cache_lookups(&s2, &join);
+        assert!(misses > 0);
+        assert_eq!(
+            e.answer(&join, Strategy::Hv).unwrap().codes,
+            e.answer(&join, Strategy::Bn).unwrap().codes
+        );
+    }
+
+    #[test]
+    fn metrics_survive_writes_and_engine_replacement() {
+        let mut e = engine_with_views(&["//s[t]/p"]);
+        let q = e.parse("//s[t]/p").unwrap();
+        let options = QueryOptions::strategy(Strategy::Hv).with_metrics();
+        e.snapshot().query(&q, &options);
+        e.add_view_str("//f/i").unwrap();
+        e.snapshot().query(&q, &options);
+        assert_eq!(e.snapshot().metrics().queries(), 2);
+
+        let mut next = engine_with_views(&["//s[t]/p"]);
+        next.inherit_metrics(&e);
+        next.snapshot().query(&q, &options);
+        assert_eq!(e.snapshot().metrics().queries(), 3);
+        // The rewrite cache is not inherited: its entries belong to the
+        // old engine's materializations.
+        assert!(!std::ptr::eq(
+            e.snapshot().rewrite_cache(),
+            next.snapshot().rewrite_cache()
+        ));
+    }
+
+    #[test]
+    fn rewrite_cache_stays_under_its_cap_and_answers_equal_uncached() {
+        const CAP: usize = 4 * 1024;
+        let mut e = engine_with_views(&[
+            "//s[t]/p",
+            "//s[p]/f",
+            "//f/i",
+            "//s//p",
+            "//s[.//i]",
+            "/b/s",
+            "//*[i]",
+            "//p",
+        ]);
+        e.rewrite_cache = Arc::new(RewriteCache::with_cap(CAP));
+        let queries: Vec<TreePattern> = [
+            "//s[f//i][t]/p",
+            "//s[t]/p",
+            "/b/s//p",
+            "//s[p]/f",
+            "//f/i",
+            "//s[.//i]",
+            "//s//p",
+            "/b/s[t]/p",
+            "//s/s/p",
+            "//s[f]/p",
+            "/b//p",
+            "//s[p]/t",
+            "//s[i]",
+            "/b/s[f//i]",
+            "//s[t][p]",
+            "//s[f/i]/p",
+            "//p",
+            "//s[.//p]/t",
+            "/b/s/p",
+        ]
+        .iter()
+        .map(|src| e.parse(src).unwrap())
+        .collect();
+        let snap = e.snapshot();
+        let mut evictions = 0;
+        for round in 0..2 {
+            for q in &queries {
+                for strategy in Strategy::all_extended() {
+                    let options = QueryOptions::strategy(strategy).with_metrics();
+                    let cached = snap.query(q, &options);
+                    evictions += cached
+                        .report
+                        .unwrap()
+                        .counters
+                        .unwrap()
+                        .get(crate::Counter::RewriteCacheEvictions);
+                    assert!(snap.rewrite_cache().bytes() <= CAP);
+                    let uncached = snap.query(q, &options.with_cache(false)).answer;
+                    match (cached.answer, uncached) {
+                        (Ok(a), Ok(b)) => assert_eq!(a.codes, b.codes, "{strategy} round {round}"),
+                        (a, b) => assert_eq!(a.err(), b.err(), "{strategy} round {round}"),
+                    }
+                }
+            }
+        }
+        assert!(evictions > 0, "the workload must overflow the cap");
+        assert!(!snap.rewrite_cache().is_empty());
+        let report = snap.metrics_report();
+        assert_eq!(report.cache_bytes, snap.rewrite_cache().bytes() as u64);
+        assert_eq!(report.cache_entries, snap.rewrite_cache().len() as u64);
+        assert_eq!(
+            report.counters.get(crate::Counter::RewriteCacheEvictions),
+            evictions
+        );
     }
 
     #[test]

@@ -14,6 +14,7 @@
 use std::collections::HashMap;
 use std::io::{self, BufRead, Write};
 use std::path::Path;
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 use xvr_pattern::eval_bn;
@@ -24,10 +25,14 @@ use crate::view::{ViewId, ViewSet};
 /// The paper's per-view materialization budget.
 pub const PAPER_FRAGMENT_BUDGET: usize = 128 * 1024;
 
+/// Source of materialization generations: process-wide and monotonic, so
+/// no two materializations ever share one, in any engine or store.
+static NEXT_GENERATION: AtomicU64 = AtomicU64::new(0);
+
 /// One materialized view: fragments plus per-fragment local Dewey
 /// assignments (used to translate fragment-internal nodes back to global
 /// codes during answer extraction).
-#[derive(Clone, Debug)]
+#[derive(Debug)]
 pub struct MaterializedView {
     /// Which view this materializes.
     pub view: ViewId,
@@ -38,9 +43,20 @@ pub struct MaterializedView {
     /// assignment is purely local to each parent), so a global code is the
     /// fragment root's code extended with the local path components.
     pub local_dewey: Vec<DeweyAssignment>,
+    /// Stamped by [`MaterializedStore::install`], the only constructor.
+    generation: u64,
 }
 
 impl MaterializedView {
+    /// Which materialization this is: unique per
+    /// [`MaterializedStore::install`] call across the process. A
+    /// re-materialized view gets a new generation, so
+    /// [`RewriteCache`](crate::RewriteCache) entries keyed by
+    /// `(view, generation)` can never be read against other fragments.
+    pub fn generation(&self) -> u64 {
+        self.generation
+    }
+
     /// Global code of `node` inside fragment `frag_idx`.
     pub fn global_code(&self, frag_idx: usize, node: xvr_xml::NodeId) -> DeweyCode {
         let tree = self.fragments.tree(frag_idx);
@@ -153,6 +169,7 @@ impl MaterializedStore {
                 view: id,
                 fragments,
                 local_dewey,
+                generation: NEXT_GENERATION.fetch_add(1, Ordering::Relaxed),
             }),
         );
     }
@@ -294,6 +311,30 @@ mod tests {
         assert_eq!(store.get(v1).unwrap().fragments.len(), 8);
         assert_eq!(store.get(v2).unwrap().fragments.len(), 3);
         assert!(store.get(v1).unwrap().complete());
+    }
+
+    #[test]
+    fn every_materialization_gets_a_fresh_generation() {
+        let doc = book_document();
+        let mut labels = doc.labels.clone();
+        let mut set = ViewSet::new();
+        let v1 = set.add(parse_pattern_with("//s[t]/p", &mut labels).unwrap());
+        let v2 = set.add(parse_pattern_with("//f/i", &mut labels).unwrap());
+        let mut store = MaterializedStore::materialize_all(&doc, &set, usize::MAX);
+        let (g1, g2) = (
+            store.get(v1).unwrap().generation(),
+            store.get(v2).unwrap().generation(),
+        );
+        assert_ne!(g1, g2);
+        // A clone shares the materializations, generations included.
+        let copy = store.clone();
+        assert_eq!(copy.get(v1).unwrap().generation(), g1);
+        // Re-materializing, even to identical fragments, is a new one.
+        let index = NodeIndex::build(&doc.tree, &doc.labels);
+        store.materialize(&doc, &index, &set, v1, usize::MAX);
+        assert!(store.get(v1).unwrap().generation() > g2);
+        assert_eq!(store.get(v2).unwrap().generation(), g2);
+        assert_eq!(copy.get(v1).unwrap().generation(), g1);
     }
 
     #[test]

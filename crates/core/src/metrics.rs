@@ -1,5 +1,5 @@
 //! Pipeline observability: per-query stage counters, cheap log2-bucket
-//! histograms, and a per-snapshot atomic accumulator.
+//! histograms, and an engine-wide atomic accumulator.
 //!
 //! The design keeps instrumentation off the critical path:
 //!
@@ -7,10 +7,10 @@
 //!   [`StageCounters`] — plain `u64` adds, no atomics, no allocation
 //!   beyond the struct itself. When metrics collection is disabled the
 //!   counters are simply dropped; nothing is folded anywhere and the
-//!   snapshot accumulator is untouched (the regression tests guard this
+//!   accumulator is untouched (the regression tests guard this
 //!   zero-cost claim).
 //! * With [`QueryOptions::collect_metrics`](crate::QueryOptions) set, the
-//!   finished counters are folded into the snapshot's [`SnapshotMetrics`]
+//!   finished counters are folded into the engine's [`SnapshotMetrics`]
 //!   (relaxed atomic adds) and returned inside the
 //!   [`QueryReport`], so both per-query and cumulative views exist.
 //! * Merging is plain addition and therefore commutative: `query_batch`
@@ -67,6 +67,9 @@ pub enum Counter {
     /// [`RewriteCache`](crate::RewriteCache) lookups that missed and
     /// computed.
     RewriteCacheMisses,
+    /// [`RewriteCache`](crate::RewriteCache) entries evicted to keep the
+    /// cache under its byte cap, by the inserts of this query's misses.
+    RewriteCacheEvictions,
     /// Materialized fragments scanned during refinement.
     RewriteFragmentsScanned,
     /// Single-unit fast-path rewrites (chain matching, no holistic join).
@@ -109,7 +112,7 @@ pub enum Counter {
 
 impl Counter {
     /// Number of counters (the dense array size).
-    pub const COUNT: usize = 31;
+    pub const COUNT: usize = 32;
 
     /// Every counter, in declaration (= index) order.
     pub const ALL: [Counter; Counter::COUNT] = [
@@ -130,6 +133,7 @@ impl Counter {
         Counter::RewriteRuns,
         Counter::RewriteCacheHits,
         Counter::RewriteCacheMisses,
+        Counter::RewriteCacheEvictions,
         Counter::RewriteFragmentsScanned,
         Counter::RewriteFastPath,
         Counter::RewriteHolisticJoins,
@@ -166,6 +170,7 @@ impl Counter {
             Counter::RewriteRuns => "rewrite.runs",
             Counter::RewriteCacheHits => "rewrite.cache_hits",
             Counter::RewriteCacheMisses => "rewrite.cache_misses",
+            Counter::RewriteCacheEvictions => "rewrite.cache_evictions",
             Counter::RewriteFragmentsScanned => "rewrite.fragments_scanned",
             Counter::RewriteFastPath => "rewrite.fast_path",
             Counter::RewriteHolisticJoins => "rewrite.holistic_joins",
@@ -393,14 +398,17 @@ impl fmt::Display for QueryReport {
     }
 }
 
-/// Cumulative, thread-safe metrics accumulator attached to an
-/// [`EngineSnapshot`](crate::EngineSnapshot).
+/// Cumulative, thread-safe metrics accumulator of an
+/// [`Engine`](crate::Engine), read through its
+/// [`EngineSnapshot`](crate::EngineSnapshot)s.
 ///
 /// Queries run with `collect_metrics` fold their finished
 /// [`StageCounters`] in with relaxed atomic adds; queries run without it
-/// never touch the accumulator. Clones of a snapshot share the same
-/// accumulator (it sits behind the snapshot's `Arc`), so `query_batch`
-/// workers all feed one instance.
+/// never touch the accumulator. Every snapshot of one engine shares the
+/// same accumulator (behind an `Arc`), so `query_batch` workers all feed
+/// one instance and engine writes do not reset the counts;
+/// [`Engine::inherit_metrics`](crate::Engine::inherit_metrics) carries it
+/// into a replacement engine.
 #[derive(Debug)]
 pub struct SnapshotMetrics {
     queries: AtomicU64,
@@ -479,6 +487,8 @@ impl SnapshotMetrics {
                 rewrite_us: self.rewrite_us.load(R) as u128,
             },
             counters,
+            cache_entries: 0,
+            cache_bytes: 0,
         }
     }
 }
@@ -500,6 +510,15 @@ pub struct MetricsReport {
     pub timings: StageTimings,
     /// Pipeline counters summed over recorded queries.
     pub counters: StageCounters,
+    /// Live entries of the rewrite cache. A gauge of the cache, not of
+    /// the accumulator: [`EngineSnapshot::metrics_report`] fills it,
+    /// [`SnapshotMetrics::report`] leaves it 0.
+    ///
+    /// [`EngineSnapshot::metrics_report`]: crate::EngineSnapshot::metrics_report
+    pub cache_entries: u64,
+    /// Accounted bytes of the rewrite cache (a gauge, like
+    /// [`Self::cache_entries`]).
+    pub cache_bytes: u64,
 }
 
 impl MetricsReport {
@@ -519,6 +538,11 @@ impl fmt::Display for MetricsReport {
             self.timings.selection_us,
             self.timings.rewrite_us,
             self.timings.total_us()
+        )?;
+        writeln!(
+            f,
+            "rewrite cache: {} entries, {} bytes",
+            self.cache_entries, self.cache_bytes
         )?;
         write!(f, "{}", self.counters)
     }

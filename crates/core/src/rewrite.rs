@@ -39,8 +39,9 @@
 //! property the integration suite checks end-to-end.
 
 use std::collections::hash_map::Entry;
-use std::collections::HashMap;
+use std::collections::{HashMap, HashSet};
 use std::fmt;
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, RwLock};
 
 use xvr_pattern::{
@@ -110,7 +111,7 @@ pub fn rewrite(
     )
 }
 
-/// [`rewrite`] with a per-snapshot [`RewriteCache`]: refinement results,
+/// [`rewrite`] with a [`RewriteCache`]: refinement results,
 /// code prefix trees, restriction bitmaps, and single-unit chain verdicts
 /// are memoized across calls, so repeated query shapes skip the comparison
 /// work entirely.
@@ -177,201 +178,422 @@ impl Refined {
     }
 }
 
-/// Per-snapshot memoization for the rewriting stage.
+/// Byte cap of a [`RewriteCache`]: the accounted size of its entries —
+/// keys, values and per-entry bookkeeping — never exceeds it.
+pub const REWRITE_CACHE_BYTES: usize = 64 << 20;
+
+/// A materialization's identity in cache keys: the view and the generation
+/// [`MaterializedStore::install`] stamped on its fragments.
+pub(crate) type ViewGen = (ViewId, u64);
+
+pub(crate) fn view_gen(mv: &MaterializedView) -> ViewGen {
+    (mv.view, mv.generation())
+}
+
+/// What a cache entry memoizes, and over which inputs. Fingerprints are
+/// [`TreePattern::fingerprint`]s; a tree key is the sorted distinct
+/// materializations of a selection. Shared parts sit behind `Arc`s, so
+/// building a key for a lookup copies no string or list.
+#[derive(Clone, PartialEq, Eq, Hash)]
+enum Key {
+    /// Non-anchor refinement: (materialization, compensating pattern).
+    Refined(ViewGen, Arc<str>),
+    /// Anchor refinement plus extraction: (materialization, compensating
+    /// pattern).
+    Anchors(ViewGen, Arc<str>),
+    /// Superset prefix tree over every fragment code of a view set.
+    Tree(Arc<[ViewGen]>),
+    /// Restriction bitmap: (tree key, refined materialization,
+    /// compensating pattern).
+    Restriction(Arc<[ViewGen]>, ViewGen, Arc<str>),
+    /// Single-unit chain verdicts: (materialization, bare trunk chain).
+    Chain(ViewGen, Arc<str>),
+}
+
+impl Key {
+    /// Was this entry computed from one of the `stale` materializations?
+    fn mentions(&self, stale: &HashSet<ViewGen>) -> bool {
+        match self {
+            Key::Refined(v, _) | Key::Anchors(v, _) | Key::Chain(v, _) => stale.contains(v),
+            Key::Tree(views) => views.iter().any(|v| stale.contains(v)),
+            Key::Restriction(views, v, _) => {
+                stale.contains(v) || views.iter().any(|v| stale.contains(v))
+            }
+        }
+    }
+
+    /// Heap bytes of the key's own data (shared parts counted in full:
+    /// an over-count, never an under-count).
+    fn heap_size(&self) -> usize {
+        let views = |vs: &[ViewGen]| std::mem::size_of_val(vs);
+        match self {
+            Key::Refined(_, fp) | Key::Anchors(_, fp) | Key::Chain(_, fp) => fp.len(),
+            Key::Tree(vs) => views(vs),
+            Key::Restriction(vs, _, fp) => views(vs) + fp.len(),
+        }
+    }
+}
+
+/// A memoized value; the variant is fixed by the key's.
+#[derive(Clone)]
+enum Value {
+    Codes(Arc<FlatCodes>),
+    Anchors(Arc<Anchors>),
+    Tree(Arc<PrefixTree>),
+    Bits(Arc<Vec<u64>>),
+}
+
+/// A type the cache memoizes: how it sits in a [`Value`] and its size.
+trait Memo: Sized {
+    fn wrap(v: Arc<Self>) -> Value;
+    fn unwrap(v: &Value) -> Option<&Arc<Self>>;
+    fn heap_size(&self) -> usize;
+}
+
+impl Memo for FlatCodes {
+    fn wrap(v: Arc<Self>) -> Value {
+        Value::Codes(v)
+    }
+    fn unwrap(v: &Value) -> Option<&Arc<Self>> {
+        match v {
+            Value::Codes(c) => Some(c),
+            _ => None,
+        }
+    }
+    fn heap_size(&self) -> usize {
+        FlatCodes::heap_size(self)
+    }
+}
+
+impl Memo for Anchors {
+    fn wrap(v: Arc<Self>) -> Value {
+        Value::Anchors(v)
+    }
+    fn unwrap(v: &Value) -> Option<&Arc<Self>> {
+        match v {
+            Value::Anchors(a) => Some(a),
+            _ => None,
+        }
+    }
+    fn heap_size(&self) -> usize {
+        let code = std::mem::size_of::<DeweyCode>();
+        let answers: usize = self
+            .answers
+            .iter()
+            .map(|a| a.capacity() * code + a.iter().map(|c| c.0.capacity() * 4).sum::<usize>())
+            .sum();
+        self.codes.heap_size()
+            + self.answers.capacity() * std::mem::size_of::<Vec<DeweyCode>>()
+            + answers
+            + self.frag.capacity() * 4
+    }
+}
+
+impl Memo for PrefixTree {
+    fn wrap(v: Arc<Self>) -> Value {
+        Value::Tree(v)
+    }
+    fn unwrap(v: &Value) -> Option<&Arc<Self>> {
+        match v {
+            Value::Tree(t) => Some(t),
+            _ => None,
+        }
+    }
+    fn heap_size(&self) -> usize {
+        self.tree.heap_size() + self.codes.heap_size()
+    }
+}
+
+impl Memo for Vec<u64> {
+    fn wrap(v: Arc<Self>) -> Value {
+        Value::Bits(v)
+    }
+    fn unwrap(v: &Value) -> Option<&Arc<Self>> {
+        match v {
+            Value::Bits(b) => Some(b),
+            _ => None,
+        }
+    }
+    fn heap_size(&self) -> usize {
+        self.capacity() * 8
+    }
+}
+
+/// One cache entry. `referenced` is CLOCK's second-chance bit: a hit sets
+/// it under the read lock, the hand clears it.
+struct Slot {
+    key: Key,
+    value: Value,
+    bytes: usize,
+    referenced: AtomicBool,
+}
+
+/// Bookkeeping charged to every entry on top of its key and value data:
+/// the slot, the index's copy of the key and its slot number, and the
+/// shared allocation headers. An estimate, rounded up.
+const ENTRY_OVERHEAD: usize =
+    std::mem::size_of::<Slot>() + std::mem::size_of::<(Key, usize)>() + 64;
+
+/// No code panics while holding the cache's lock.
+const POISONED: &str = "rewrite cache lock poisoned";
+
+/// The cache's one map: a slot arena swept by the CLOCK hand, indexed by
+/// key.
+#[derive(Default)]
+struct Clock {
+    index: HashMap<Key, usize>,
+    slots: Vec<Option<Slot>>,
+    free: Vec<usize>,
+    hand: usize,
+    bytes: usize,
+}
+
+impl Clock {
+    fn remove(&mut self, i: usize) {
+        let slot = self.slots[i].take().expect("removed slots are live");
+        self.index.remove(&slot.key);
+        self.bytes -= slot.bytes;
+        self.free.push(i);
+    }
+
+    /// Evict until `need` more bytes fit under `cap`: the hand skips and
+    /// clears referenced slots and evicts the first unreferenced one.
+    /// Returns the number of entries evicted. Requires `need <= cap`, so
+    /// the loop only runs while some entry is live.
+    fn make_room(&mut self, need: usize, cap: usize) -> u64 {
+        let mut evicted = 0;
+        while self.bytes + need > cap {
+            let i = self.hand;
+            self.hand = (i + 1) % self.slots.len();
+            let Some(slot) = &mut self.slots[i] else {
+                continue;
+            };
+            if std::mem::take(slot.referenced.get_mut()) {
+                continue;
+            }
+            self.remove(i);
+            evicted += 1;
+        }
+        evicted
+    }
+
+    fn insert(&mut self, key: Key, value: Value, bytes: usize) {
+        let slot = Slot {
+            key: key.clone(),
+            value,
+            bytes,
+            // A second chance is earned by a hit, not by the insert.
+            referenced: AtomicBool::new(false),
+        };
+        let i = match self.free.pop() {
+            Some(i) => {
+                self.slots[i] = Some(slot);
+                i
+            }
+            None => {
+                self.slots.push(Some(slot));
+                self.slots.len() - 1
+            }
+        };
+        self.index.insert(key, i);
+        self.bytes += bytes;
+    }
+}
+
+/// Memoization for the rewriting stage, shared by every snapshot of one
+/// [`Engine`](crate::Engine) and kept across its writes.
 ///
-/// All maps are insert-only and keyed by data frozen with the snapshot, so
-/// there is no invalidation protocol: a new snapshot starts with a fresh
-/// cache, and clones of one snapshot share it.
+/// Every entry is keyed by the `(view, generation)` of each
+/// materialization it was computed from ([`MaterializedView::generation`]).
+/// A view keeps its id and fragments when other views are added, so its
+/// entries stay valid across [`Engine::add_view`](crate::Engine::add_view);
+/// a re-materialized view gets a new generation, so a snapshot can never
+/// read an entry computed from fragments other than its own — not even
+/// one an older snapshot inserts after the write. Correctness rests on the
+/// keys alone; [`Engine::append_xml`](crate::Engine::append_xml) evicts
+/// the stale entries only to reclaim their memory.
 ///
-/// * **Refinement** (`refined`, `anchors`) — keyed by
-///   `(view, compensating-pattern fingerprint)`: the fragment codes
-///   surviving the compensating predicate (and, for anchor use, the answer
-///   codes extracted per fragment). Repeated queries in a batch stop
-///   re-evaluating identical predicates over the same fragments.
-/// * **Prefix trees** (`trees`) — keyed by the *sorted distinct view set*
-///   of a selection, built over **all** fragment codes of those views.
-///   That superset tree is query-independent yet join-equivalent: every
-///   skeleton binding in a valid embedding is an ancestor-or-self of a
-///   unit binding, unit bindings are restricted to refined codes, and all
-///   prefixes of refined codes exist in both the superset tree and the
-///   per-query tree — so restricting the join (the `admissible`
-///   predicate) yields identical anchors.
-/// * **Restriction bitmaps** (`bitmaps`) — keyed by (tree key, refinement
-///   key): which prefix-tree nodes carry a refined code, precomputed by a
-///   galloping merge-intersection. Warm joins never compare codes; the
-///   `admissible` probe is a bit test.
-/// * **Chain verdicts** (`chains`) — keyed by `(view, trunk-chain
-///   fingerprint)`: a bitmap over the view's fragments recording which
+/// * **Refinement** (`Refined`, `Anchors`) — keyed by (materialization,
+///   compensating-pattern fingerprint): the fragment codes surviving the
+///   compensating predicate (and, for anchor use, the answer codes
+///   extracted per fragment). Repeated queries stop re-evaluating
+///   identical predicates over the same fragments.
+/// * **Prefix trees** (`Tree`) — keyed by the *sorted distinct
+///   materializations* of a selection, built over **all** fragment codes
+///   of those views. That superset tree is query-independent yet
+///   join-equivalent: every skeleton binding in a valid embedding is an
+///   ancestor-or-self of a unit binding, unit bindings are restricted to
+///   refined codes, and all prefixes of refined codes exist in both the
+///   superset tree and the per-query tree — so restricting the join (the
+///   `admissible` predicate) yields identical anchors.
+/// * **Restriction bitmaps** (`Restriction`) — keyed by (tree key,
+///   refinement key): which prefix-tree nodes carry a refined code,
+///   precomputed by a galloping merge-intersection. Warm joins never
+///   compare codes; the `admissible` probe is a bit test.
+/// * **Chain verdicts** (`Chain`) — keyed by (materialization, trunk-chain
+///   fingerprint): a bitmap over the view's fragments recording which
 ///   FST-decoded ancestor paths embed the single-unit trunk chain. Warm
 ///   fast-path rewrites reduce to bit probes over the anchor pairs.
+///
+/// All five kinds live in one map bounded by [`REWRITE_CACHE_BYTES`] of
+/// accounted size, evicted by CLOCK: a hit only sets the entry's
+/// reference bit under the read lock; an insert that would pass the cap
+/// sweeps the hand, giving referenced entries a second chance. An entry
+/// larger than the cap is computed but not kept.
 ///
 /// Concurrent misses may compute a value twice; the first insert wins and
 /// every thread observes that one (the computation is deterministic, so
 /// the race is benign).
-#[derive(Default)]
 pub struct RewriteCache {
-    /// `"view:fingerprint"` → surviving codes (non-anchor refinement).
-    refined: RwLock<HashMap<String, Arc<FlatCodes>>>,
-    /// `"view:fingerprint"` → surviving codes + extracted answers.
-    anchors: RwLock<HashMap<String, Arc<Anchors>>>,
-    /// Sorted distinct views of a selection → superset code prefix tree.
-    trees: RwLock<HashMap<Vec<ViewId>, Arc<PrefixTree>>>,
-    /// (tree key, refinement key) → bitmap over prefix-tree nodes.
-    #[allow(clippy::type_complexity)]
-    bitmaps: RwLock<HashMap<(Vec<ViewId>, String), Arc<Vec<u64>>>>,
-    /// `"view:chain-fingerprint"` → bitmap over the view's fragments.
-    chains: RwLock<HashMap<String, Arc<Vec<u64>>>>,
+    clock: RwLock<Clock>,
+    cap: usize,
+}
+
+impl Default for RewriteCache {
+    fn default() -> RewriteCache {
+        RewriteCache::new()
+    }
 }
 
 impl RewriteCache {
-    /// Fresh, empty cache.
+    /// Fresh, empty cache bounded by [`REWRITE_CACHE_BYTES`].
     pub fn new() -> RewriteCache {
-        RewriteCache::default()
+        RewriteCache {
+            clock: RwLock::default(),
+            cap: REWRITE_CACHE_BYTES,
+        }
     }
 
-    fn refined_codes(
-        &self,
-        key: &str,
-        compensating: &TreePattern,
-        mv: &MaterializedView,
-        scratch: &mut EvalScratch,
-        counters: &mut StageCounters,
-    ) -> Arc<FlatCodes> {
-        if let Some(hit) = self.refined.read().unwrap().get(key) {
-            counters.bump(Counter::RewriteCacheHits);
-            return Arc::clone(hit);
+    /// Fresh, empty cache with a smaller cap, so tests reach eviction.
+    #[cfg(test)]
+    pub(crate) fn with_cap(cap: usize) -> RewriteCache {
+        RewriteCache {
+            cap,
+            ..RewriteCache::new()
         }
-        counters.bump(Counter::RewriteCacheMisses);
-        let val = Arc::new(compute_refined(compensating, mv, scratch, counters));
-        Arc::clone(
-            self.refined
-                .write()
-                .unwrap()
-                .entry(key.to_string())
-                .or_insert(val),
-        )
     }
 
-    fn anchor_pairs(
-        &self,
-        key: &str,
-        compensating: &TreePattern,
-        mv: &MaterializedView,
-        scratch: &mut EvalScratch,
-        counters: &mut StageCounters,
-    ) -> Arc<Anchors> {
-        if let Some(hit) = self.anchors.read().unwrap().get(key) {
-            counters.bump(Counter::RewriteCacheHits);
-            return Arc::clone(hit);
-        }
-        counters.bump(Counter::RewriteCacheMisses);
-        let val = Arc::new(compute_anchor_pairs(compensating, mv, scratch, counters));
-        Arc::clone(
-            self.anchors
-                .write()
-                .unwrap()
-                .entry(key.to_string())
-                .or_insert(val),
-        )
+    /// Accounted bytes of the live entries (at most [`Self::cap`]).
+    pub fn bytes(&self) -> usize {
+        self.clock.read().expect(POISONED).bytes
     }
 
-    fn prefix_tree(
-        &self,
-        key: &[ViewId],
-        store: &MaterializedStore,
-        fst: &Fst,
-        counters: &mut StageCounters,
-    ) -> Result<Arc<PrefixTree>, RewriteError> {
-        if let Some(hit) = self.trees.read().unwrap().get(key) {
-            counters.bump(Counter::RewriteCacheHits);
-            return Ok(Arc::clone(hit));
-        }
-        counters.bump(Counter::RewriteCacheMisses);
-        let mut all: Vec<Vec<u8>> = Vec::new();
-        for &v in key {
-            let mv = store.get(v).expect("selected views are materialized");
-            let mut cur = mv.packed_codes().cursor();
-            while let Some(code) = cur.advance() {
-                all.push(code.to_vec());
+    /// Number of live entries.
+    pub fn len(&self) -> usize {
+        self.clock.read().expect(POISONED).index.len()
+    }
+
+    /// True when the cache holds nothing.
+    pub fn is_empty(&self) -> bool {
+        self.len() == 0
+    }
+
+    /// Drop every entry computed from one of the `stale` materializations.
+    pub(crate) fn evict(&self, stale: &HashSet<ViewGen>) {
+        let mut clock = self.clock.write().expect(POISONED);
+        for i in 0..clock.slots.len() {
+            if clock.slots[i]
+                .as_ref()
+                .is_some_and(|s| s.key.mentions(stale))
+            {
+                clock.remove(i);
             }
         }
-        all.sort_unstable_by(|a, b| flat_cmp(a, b));
-        all.dedup();
-        let val = Arc::new(PrefixTree::build_sorted(
-            all.iter().map(|c| c.as_slice()),
-            fst,
-        )?);
-        Ok(Arc::clone(
-            self.trees
-                .write()
-                .unwrap()
-                .entry(key.to_vec())
-                .or_insert(val),
+    }
+
+    fn get<T: Memo>(&self, key: &Key) -> Option<Arc<T>> {
+        let clock = self.clock.read().expect(POISONED);
+        let slot = clock.slots[*clock.index.get(key)?]
+            .as_ref()
+            .expect("indexed slots are live");
+        slot.referenced.store(true, Ordering::Relaxed);
+        Some(Arc::clone(
+            T::unwrap(&slot.value).expect("a key's kind fixes its value's"),
         ))
     }
 
-    /// Which prefix-tree nodes carry a code from `list` — memoized so a
-    /// warm join performs zero code comparisons.
-    fn restriction_bits(
-        &self,
-        tree_key: &[ViewId],
-        unit_key: &str,
-        tree: &PrefixTree,
-        list: &FlatCodes,
-        stats: &mut CmpStats,
-        counters: &mut StageCounters,
-    ) -> Arc<Vec<u64>> {
-        let key = (tree_key.to_vec(), unit_key.to_string());
-        if let Some(hit) = self.bitmaps.read().unwrap().get(&key) {
-            counters.bump(Counter::RewriteCacheHits);
-            return Arc::clone(hit);
+    /// Keep `value` under `key`, unless a concurrent miss got there first:
+    /// then return that entry's value instead.
+    fn put<T: Memo>(&self, key: Key, value: Arc<T>, counters: &mut StageCounters) -> Arc<T> {
+        let bytes = ENTRY_OVERHEAD + key.heap_size() + value.heap_size();
+        let mut clock = self.clock.write().expect(POISONED);
+        if let Some(&i) = clock.index.get(&key) {
+            let slot = clock.slots[i].as_ref().expect("indexed slots are live");
+            return Arc::clone(T::unwrap(&slot.value).expect("a key's kind fixes its value's"));
         }
-        counters.bump(Counter::RewriteCacheMisses);
-        let val = Arc::new(intersect_bits(&tree.codes, list, stats));
-        Arc::clone(self.bitmaps.write().unwrap().entry(key).or_insert(val))
+        if bytes <= self.cap {
+            let evicted = clock.make_room(bytes, self.cap);
+            counters.add(Counter::RewriteCacheEvictions, evicted);
+            clock.insert(key, T::wrap(Arc::clone(&value)), bytes);
+        }
+        value
     }
+}
 
-    /// Which fragments of `mv` have an FST-decoded ancestor path embedding
-    /// the trunk chain — the single-unit join verdict, memoized per
-    /// (view, chain shape).
-    fn chain_bits(
-        &self,
-        key: &str,
-        q: &TreePattern,
-        chain: &[PNodeId],
-        mv: &MaterializedView,
-        fst: &Fst,
-        counters: &mut StageCounters,
-    ) -> Result<Arc<Vec<u64>>, RewriteError> {
-        if let Some(hit) = self.chains.read().unwrap().get(key) {
-            counters.bump(Counter::RewriteCacheHits);
-            return Ok(Arc::clone(hit));
-        }
-        counters.bump(Counter::RewriteCacheMisses);
-        let mut bits = vec![0u64; mv.fragments.len().div_ceil(64)];
-        for (fi, code) in mv.fragments.codes().enumerate() {
-            let path = fst
-                .decode(code.components())
-                .ok_or_else(|| RewriteError::UndecodableCode(code.clone()))?;
-            // The positional DP walks the decoded ancestor path once per
-            // chain node.
-            counters.add(
-                Counter::RewriteDeweyComparisons,
-                (path.len() * chain.len()) as u64,
-            );
-            if chain_matches(q, chain, &path) {
-                bits[fi / 64] |= 1 << (fi % 64);
-            }
-        }
-        let val = Arc::new(bits);
-        Ok(Arc::clone(
-            self.chains
-                .write()
-                .unwrap()
-                .entry(key.to_string())
-                .or_insert(val),
-        ))
+/// `compute`, memoized under the key when a cache is given: a hit returns
+/// the cached value, a miss computes and inserts it.
+fn memo<T: Memo>(
+    keyed: Option<(&RewriteCache, Key)>,
+    counters: &mut StageCounters,
+    compute: impl FnOnce(&mut StageCounters) -> Result<T, RewriteError>,
+) -> Result<Arc<T>, RewriteError> {
+    let Some((cache, key)) = keyed else {
+        return compute(counters).map(Arc::new);
+    };
+    if let Some(hit) = cache.get(&key) {
+        counters.bump(Counter::RewriteCacheHits);
+        return Ok(hit);
     }
+    counters.bump(Counter::RewriteCacheMisses);
+    let value = Arc::new(compute(counters)?);
+    Ok(cache.put(key, value, counters))
+}
+
+/// The superset prefix tree of a cached join: every fragment code of the
+/// views in `key`.
+fn superset_tree(
+    key: &[ViewGen],
+    store: &MaterializedStore,
+    fst: &Fst,
+) -> Result<PrefixTree, RewriteError> {
+    let mut all: Vec<Vec<u8>> = Vec::new();
+    for &(v, _) in key {
+        let mv = store.get(v).expect("selected views are materialized");
+        let mut cur = mv.packed_codes().cursor();
+        while let Some(code) = cur.advance() {
+            all.push(code.to_vec());
+        }
+    }
+    all.sort_unstable_by(|a, b| flat_cmp(a, b));
+    all.dedup();
+    PrefixTree::build_sorted(all.iter().map(|c| c.as_slice()), fst)
+}
+
+/// Which fragments of `mv` have an FST-decoded ancestor path embedding the
+/// trunk chain — the single-unit join verdict.
+fn chain_bits(
+    q: &TreePattern,
+    chain: &[PNodeId],
+    mv: &MaterializedView,
+    fst: &Fst,
+    counters: &mut StageCounters,
+) -> Result<Vec<u64>, RewriteError> {
+    let mut bits = vec![0u64; mv.fragments.len().div_ceil(64)];
+    for (fi, code) in mv.fragments.codes().enumerate() {
+        let path = fst
+            .decode(code.components())
+            .ok_or_else(|| RewriteError::UndecodableCode(code.clone()))?;
+        // The positional DP walks the decoded ancestor path once per
+        // chain node.
+        counters.add(
+            Counter::RewriteDeweyComparisons,
+            (path.len() * chain.len()) as u64,
+        );
+        if chain_matches(q, chain, &path) {
+            bits[fi / 64] |= 1 << (fi % 64);
+        }
+    }
+    Ok(bits)
 }
 
 /// A compensating pattern that constrains nothing beyond its root label:
@@ -497,17 +719,18 @@ fn chain_matches(q: &TreePattern, chain: &[PNodeId], path: &[Label]) -> bool {
     cur[n - 1]
 }
 
-/// Cache key of a single-unit trunk chain: the chain re-rooted as a bare
-/// pattern (axes + labels only — `chain_matches` never reads attributes,
-/// so two queries with the same trunk share the verdict bitmap).
-fn chain_key(q: &TreePattern, chain: &[PNodeId], view: ViewId) -> String {
+/// Cache key of a single-unit trunk chain: the fingerprint of the chain
+/// re-rooted as a bare pattern (axes + labels only — `chain_matches` never
+/// reads attributes, so two queries with the same trunk share the verdict
+/// bitmap).
+fn chain_key(q: &TreePattern, chain: &[PNodeId]) -> Arc<str> {
     let mut p = TreePattern::with_root(q.axis(chain[0]), q.label(chain[0]));
     let mut cur = p.root();
     for &n in &chain[1..] {
         cur = p.add_child(cur, q.axis(n), q.label(n));
     }
     p.set_answer(cur);
-    format!("{}:{}", view.0, p.fingerprint())
+    p.fingerprint().into()
 }
 
 /// Bit test over a `Vec<u64>` bitmap.
@@ -572,7 +795,9 @@ fn rewrite_gallop(
     let mut scratch = EvalScratch::new();
     // Stage 1: refine each unit's fragments with its compensating pattern.
     let mut refined: Vec<Refined> = Vec::with_capacity(selection.units.len());
-    let mut unit_keys: Vec<String> = Vec::with_capacity(selection.units.len());
+    // Per unit, its materialization and (with a cache) the compensating
+    // fingerprint: the unit's part of every cache key below.
+    let mut unit_keys: Vec<(ViewGen, Option<Arc<str>>)> = Vec::with_capacity(selection.units.len());
     let mut anchor_ref: Option<Arc<Anchors>> = None;
     for (i, unit) in selection.units.iter().enumerate() {
         let mv = store
@@ -582,29 +807,33 @@ fn rewrite_gallop(
             return Err(RewriteError::IncompleteMaterialization(unit.view));
         }
         let compensating = q.subtree_pattern(unit.cover.m, Axis::Descendant);
-        let key = cache
-            .map(|_| format!("{}:{}", unit.view.0, compensating.fingerprint()))
-            .unwrap_or_default();
+        let vg = view_gen(mv);
+        let fp: Option<Arc<str>> = cache.map(|_| compensating.fingerprint().into());
+        let keyed = cache.zip(fp.clone());
         if i == selection.anchor {
-            let pairs = match cache {
-                Some(c) => c.anchor_pairs(&key, &compensating, mv, &mut scratch, counters),
-                None => Arc::new(compute_anchor_pairs(
-                    &compensating,
-                    mv,
-                    &mut scratch,
-                    counters,
-                )),
-            };
+            let pairs = memo(
+                keyed.map(|(c, fp)| (c, Key::Anchors(vg, fp))),
+                counters,
+                |counters| {
+                    Ok(compute_anchor_pairs(
+                        &compensating,
+                        mv,
+                        &mut scratch,
+                        counters,
+                    ))
+                },
+            )?;
             refined.push(Refined::Anchor(Arc::clone(&pairs)));
             anchor_ref = Some(pairs);
         } else {
-            let codes = match cache {
-                Some(c) => c.refined_codes(&key, &compensating, mv, &mut scratch, counters),
-                None => Arc::new(compute_refined(&compensating, mv, &mut scratch, counters)),
-            };
+            let codes = memo(
+                keyed.map(|(c, fp)| (c, Key::Refined(vg, fp))),
+                counters,
+                |counters| Ok(compute_refined(&compensating, mv, &mut scratch, counters)),
+            )?;
             refined.push(Refined::Plain(codes));
         }
-        unit_keys.push(key);
+        unit_keys.push((vg, fp));
     }
     let anchors = anchor_ref.expect("selection has an anchor unit");
 
@@ -620,8 +849,11 @@ fn rewrite_gallop(
             let unit = &selection.units[0];
             let mv = store.get(unit.view).expect("checked above");
             let chain = q.root_path(unit.cover.m);
-            let key = chain_key(q, &chain, unit.view);
-            let bits = c.chain_bits(&key, q, &chain, mv, fst, counters)?;
+            let bits = memo(
+                Some((c, Key::Chain(unit_keys[0].0, chain_key(q, &chain)))),
+                counters,
+                |counters| chain_bits(q, &chain, mv, fst, counters),
+            )?;
             let mut out: Vec<DeweyCode> = Vec::new();
             for (i, &fi) in anchors.frag.iter().enumerate() {
                 if bit(&bits, fi as usize) {
@@ -637,16 +869,22 @@ fn rewrite_gallop(
     // Stage 2: join over the code prefix tree.
     counters.bump(Counter::RewriteHolisticJoins);
     let skeleton = Skeleton::build(q, selection);
-    let mut tree_key: Vec<ViewId> = selection.units.iter().map(|u| u.view).collect();
-    tree_key.sort();
-    tree_key.dedup();
-    let prefix_tree: Arc<PrefixTree> = match cache {
-        Some(c) => c.prefix_tree(&tree_key, store, fst, counters)?,
+    let (prefix_tree, tree_key): (Arc<PrefixTree>, Option<Arc<[ViewGen]>>) = match cache {
+        Some(c) => {
+            let mut views: Vec<ViewGen> = unit_keys.iter().map(|(vg, _)| *vg).collect();
+            views.sort();
+            views.dedup();
+            let key: Arc<[ViewGen]> = views.into();
+            let tree = memo(Some((c, Key::Tree(Arc::clone(&key)))), counters, |_| {
+                superset_tree(&key, store, fst)
+            })?;
+            (tree, Some(key))
+        }
         None => {
             let mut all: Vec<&[u8]> = refined.iter().flat_map(|r| r.codes().iter()).collect();
             all.sort_unstable_by(|a, b| flat_cmp(a, b));
             all.dedup();
-            Arc::new(PrefixTree::build_sorted(all, fst)?)
+            (Arc::new(PrefixTree::build_sorted(all, fst)?), None)
         }
     };
     if prefix_tree.tree.is_empty() {
@@ -657,19 +895,14 @@ fn rewrite_gallop(
     // intersection of two sorted lists, memoized per (tree, refinement));
     // several units on the same node AND together.
     let mut node_bits: HashMap<PNodeId, Vec<u64>> = HashMap::new();
-    for (ui, (unit, r)) in selection.units.iter().zip(refined.iter()).enumerate() {
+    for ((unit, r), (vg, fp)) in selection.units.iter().zip(&refined).zip(&unit_keys) {
         let s = skeleton.q_to_s[&unit.cover.m];
-        let bits: Arc<Vec<u64>> = match cache {
-            Some(c) => c.restriction_bits(
-                &tree_key,
-                &unit_keys[ui],
-                &prefix_tree,
-                r.codes(),
-                stats,
-                counters,
-            ),
-            None => Arc::new(intersect_bits(&prefix_tree.codes, r.codes(), stats)),
-        };
+        let keyed = cache.zip(tree_key.clone()).zip(fp.clone());
+        let bits: Arc<Vec<u64>> = memo(
+            keyed.map(|((c, tree), fp)| (c, Key::Restriction(tree, *vg, fp))),
+            counters,
+            |_| Ok(intersect_bits(&prefix_tree.codes, r.codes(), stats)),
+        )?;
         match node_bits.entry(s) {
             Entry::Vacant(e) => {
                 e.insert(bits.as_ref().clone());
@@ -749,6 +982,7 @@ pub fn rewrite_intersect_metered(
     // Stage 1: refine each member with the shared compensating pattern
     // (the query subtree below the answer), exactly as the general path.
     let compensating = q.subtree_pattern(q.answer(), Axis::Descendant);
+    let fp: Option<Arc<str>> = cache.map(|_| compensating.fingerprint().into());
     let mut member_codes: Vec<Arc<FlatCodes>> = Vec::new();
     let mut anchor_ref: Option<Arc<Anchors>> = None;
     for (i, unit) in selection.units.iter().enumerate() {
@@ -758,25 +992,27 @@ pub fn rewrite_intersect_metered(
         if !mv.complete() {
             return Err(RewriteError::IncompleteMaterialization(unit.view));
         }
-        let key = cache
-            .map(|_| format!("{}:{}", unit.view.0, compensating.fingerprint()))
-            .unwrap_or_default();
+        let keyed = cache.zip(fp.clone());
         if i == selection.anchor {
-            let pairs = match cache {
-                Some(c) => c.anchor_pairs(&key, &compensating, mv, &mut scratch, counters),
-                None => Arc::new(compute_anchor_pairs(
-                    &compensating,
-                    mv,
-                    &mut scratch,
-                    counters,
-                )),
-            };
+            let pairs = memo(
+                keyed.map(|(c, fp)| (c, Key::Anchors(view_gen(mv), fp))),
+                counters,
+                |counters| {
+                    Ok(compute_anchor_pairs(
+                        &compensating,
+                        mv,
+                        &mut scratch,
+                        counters,
+                    ))
+                },
+            )?;
             anchor_ref = Some(pairs);
         } else {
-            let codes = match cache {
-                Some(c) => c.refined_codes(&key, &compensating, mv, &mut scratch, counters),
-                None => Arc::new(compute_refined(&compensating, mv, &mut scratch, counters)),
-            };
+            let codes = memo(
+                keyed.map(|(c, fp)| (c, Key::Refined(view_gen(mv), fp))),
+                counters,
+                |counters| Ok(compute_refined(&compensating, mv, &mut scratch, counters)),
+            )?;
             member_codes.push(codes);
         }
     }
@@ -1332,8 +1568,9 @@ mod tests {
                 let got = rewrite_cached(&q, &sel, &views, &store, &doc.fst, &cache).unwrap();
                 assert_eq!(got, want, "{qsrc} (pass {pass})");
             }
-            memoized_anchors |= !cache.anchors.read().unwrap().is_empty();
-            memoized_chains |= !cache.chains.read().unwrap().is_empty();
+            let holds = |kind: fn(&Key) -> bool| cache.clock.read().unwrap().index.keys().any(kind);
+            memoized_anchors |= holds(|k| matches!(k, Key::Anchors(..)));
+            memoized_chains |= holds(|k| matches!(k, Key::Chain(..)));
         }
         // The sweep must have exercised both the anchor memoization and
         // the single-unit chain bitmaps.
@@ -1392,6 +1629,41 @@ mod tests {
         let got = rewrite_cached(&q, &sel, &views, &store, &doc.fst, &cache).unwrap();
         assert_eq!(got, rewrite(&q, &sel, &views, &store, &doc.fst).unwrap());
         assert!(got.is_empty());
+    }
+
+    #[test]
+    fn clock_evicts_the_unreferenced_entry_and_respects_the_cap() {
+        let bits = |n: usize| Arc::new(vec![0u64; n]);
+        let key = |name: &str| Key::Chain((ViewId(0), 0), name.into());
+        let size = ENTRY_OVERHEAD + 1 + 8 * 8;
+        let cache = RewriteCache::with_cap(2 * size);
+        let mut counters = StageCounters::new();
+        cache.put(key("a"), bits(8), &mut counters);
+        cache.put(key("b"), bits(8), &mut counters);
+        assert_eq!((cache.len(), cache.bytes()), (2, 2 * size));
+        // A hit earns `a` a second chance, so the hand passes it over
+        // and evicts `b` to fit `c`.
+        assert!(cache.get::<Vec<u64>>(&key("a")).is_some());
+        cache.put(key("c"), bits(8), &mut counters);
+        assert_eq!(counters.get(Counter::RewriteCacheEvictions), 1);
+        assert!(cache.get::<Vec<u64>>(&key("a")).is_some());
+        assert!(cache.get::<Vec<u64>>(&key("b")).is_none());
+        assert!(cache.get::<Vec<u64>>(&key("c")).is_some());
+        assert_eq!(cache.bytes(), 2 * size);
+        // A value larger than the cap is returned but not kept.
+        let big = cache.put(key("d"), bits(1024), &mut counters);
+        assert_eq!(big.len(), 1024);
+        assert!(cache.get::<Vec<u64>>(&key("d")).is_none());
+        assert_eq!(cache.len(), 2);
+        // Eviction by materialization drops exactly the entries naming it.
+        cache.put(
+            Key::Chain((ViewId(1), 7), "e".into()),
+            bits(1),
+            &mut counters,
+        );
+        cache.evict(&HashSet::from([(ViewId(0), 0)]));
+        assert_eq!(cache.len(), 1);
+        assert!(cache.bytes() < size);
     }
 
     /// Build a flat PrefixTree from component vectors (sorted here, as the

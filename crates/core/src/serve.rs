@@ -270,7 +270,7 @@ fn error_response(e: QueryError) -> Response {
 }
 
 /// Client-supplied options with metrics always on: every served query
-/// folds into the snapshot's cumulative metrics, so [`Request::Stats`] is
+/// folds into the engine's cumulative metrics, so [`Request::Stats`] is
 /// always live (the per-query counter cost is integer additions).
 fn served_options(options: WireOptions) -> QueryOptions {
     QueryOptions::from(options).with_metrics()
@@ -345,7 +345,7 @@ fn handle_batch(
 
 fn handle_stats(state: &ServerState) -> Response {
     let snap = state.cell.load();
-    let report = snap.metrics().report();
+    let report = snap.metrics_report();
     Response::Stats {
         epoch: state.cell.epoch(),
         queries: report.queries,
@@ -384,6 +384,7 @@ fn handle_swap_doc(path: &str, state: &ServerState) -> Result<Response, QueryErr
     // Build the replacement completely before publishing anything, so a
     // view that no longer parses leaves the old document fully serving.
     let mut next = Engine::new(doc, engine.config().clone());
+    next.inherit_metrics(&engine);
     let sources = state.view_sources.lock().expect("view sources poisoned");
     for src in sources.iter() {
         next.add_view_str(src)?;

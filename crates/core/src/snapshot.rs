@@ -23,9 +23,11 @@
 //! [`QueryOptions`]/[`QueryOutcome`], so a served query and an embedded
 //! one take the same path.
 //!
-//! Snapshots are copy-on-write: taking one is eight reference-count bumps,
+//! Snapshots are copy-on-write: taking one is nine reference-count bumps,
 //! and later engine mutations clone only the components they touch
-//! (`Arc::make_mut`), leaving outstanding snapshots untouched.
+//! (`Arc::make_mut`), leaving outstanding snapshots untouched. Two parts
+//! are shared instead of frozen: the engine's [`RewriteCache`] and its
+//! cumulative [`SnapshotMetrics`].
 //!
 //! The one subtlety is parsing: the classic parse path interns unseen
 //! labels into the shared table, a write. Snapshots parse with
@@ -44,7 +46,7 @@ use crate::engine::{Answer, AnswerError, EngineConfig, StageTimings, Strategy};
 use crate::filter::{filter_views_metered, FilterOptions, FilterOutcome};
 use crate::leafcover::Obligations;
 use crate::materialize::MaterializedStore;
-use crate::metrics::{Counter, QueryReport, SnapshotMetrics, StageCounters};
+use crate::metrics::{Counter, MetricsReport, QueryReport, SnapshotMetrics, StageCounters};
 use crate::nfa::Nfa;
 use crate::rewrite::{rewrite_intersect_metered, rewrite_metered, RewriteCache};
 use crate::select::{
@@ -70,12 +72,14 @@ pub struct EngineSnapshot {
     pub(crate) node_index: Arc<NodeIndex>,
     pub(crate) path_index: Arc<PathIndex>,
     pub(crate) config: EngineConfig,
-    /// Per-snapshot rewrite memoization (see [`RewriteCache`]); created
-    /// fresh at freeze time and shared by clones of this snapshot.
+    /// Rewrite memoization (see [`RewriteCache`]): the engine's one
+    /// cache, shared by all of its snapshots and kept across its writes.
+    /// Keys carry materialization generations, so this snapshot reads
+    /// only entries computed from its own fragments.
     pub(crate) rewrite_cache: Arc<RewriteCache>,
     /// Cumulative observability accumulator; queries run with
     /// [`QueryOptions::collect_metrics`] fold their counters in here.
-    /// Created fresh at freeze time and shared by clones.
+    /// The engine's one accumulator, shared by all of its snapshots.
     pub(crate) metrics: Arc<SnapshotMetrics>,
 }
 
@@ -132,7 +136,7 @@ impl AnswerTrace {
 pub struct QueryOptions {
     /// Evaluation strategy.
     pub strategy: Strategy,
-    /// Use the snapshot's [`RewriteCache`] (view strategies only);
+    /// Use the engine's shared [`RewriteCache`] (view strategies only);
     /// `false` forces the uncached reference rewriter. Defaults to `true`.
     pub use_cache: bool,
     /// Return the [`AnswerTrace`] in the report. Defaults to `false`.
@@ -299,12 +303,27 @@ impl EngineSnapshot {
         )
     }
 
-    /// The snapshot's cumulative metrics accumulator: every query run
-    /// with [`QueryOptions::collect_metrics`] folds its counters and
-    /// stage timings in here (thread-safe; shared by clones of this
-    /// snapshot). Read it with [`SnapshotMetrics::report`].
+    /// The cumulative metrics accumulator: every query run with
+    /// [`QueryOptions::collect_metrics`] folds its counters and stage
+    /// timings in here (thread-safe; shared by every snapshot of the
+    /// engine, so writes do not reset it). Read it with
+    /// [`Self::metrics_report`], or [`SnapshotMetrics::report`] for the
+    /// counts alone.
     pub fn metrics(&self) -> &SnapshotMetrics {
         &self.metrics
+    }
+
+    /// The cumulative metrics plus the rewrite cache's current size.
+    pub fn metrics_report(&self) -> MetricsReport {
+        let mut report = self.metrics.report();
+        report.cache_entries = self.rewrite_cache.len() as u64;
+        report.cache_bytes = self.rewrite_cache.bytes() as u64;
+        report
+    }
+
+    /// The rewrite cache this snapshot shares with its engine.
+    pub fn rewrite_cache(&self) -> &RewriteCache {
+        &self.rewrite_cache
     }
 
     /// Run selection only — filter (unless `Mn`) plus view-set search.

@@ -311,7 +311,7 @@ fn server_request_response_cycle() {
     // Every served query counts, though no request asked for metrics:
     // the two single queries that parsed (one answered, one
     // NotAnswerable) plus the four batch items that parsed (all
-    // answered). The counters are per snapshot, so check before the swap.
+    // answered).
     let resp = client.call(&Request::Stats).unwrap();
     match resp {
         Response::Stats {
@@ -357,13 +357,23 @@ fn server_request_response_cycle() {
         }
         other => panic!("expected swapped, got {other:?}"),
     }
+    // The counters belong to the engine, not to one snapshot: the swap
+    // the write published keeps them.
     let resp = client.call(&Request::Stats).unwrap();
     match resp {
         Response::Stats {
-            epoch, requests, ..
+            epoch,
+            queries,
+            answered,
+            requests,
+            report,
+            ..
         } => {
             assert_eq!(epoch, 1);
+            assert_eq!(queries, 2 + 4);
+            assert_eq!(answered, 1 + 4);
             assert!(requests >= 7);
+            assert!(report.contains("rewrite cache: "), "{report}");
         }
         other => panic!("expected stats, got {other:?}"),
     }
@@ -373,6 +383,60 @@ fn server_request_response_cycle() {
         Response::ShuttingDown
     ));
     handle.join().unwrap().unwrap();
+}
+
+/// `SwapDoc` builds a new engine over the new document; the served
+/// counts carry over into it, so `Stats` keeps counting across the swap.
+#[test]
+fn stats_survive_a_document_swap() {
+    let (engine, sources) = planted_engine(0.002);
+    let xml = xvr_xml::serialize(&engine.doc().tree, engine.labels());
+    let path = std::env::temp_dir().join(format!("xvr-swap-stats-{}.xml", std::process::id()));
+    std::fs::write(&path, xml).unwrap();
+    let server = Server::bind("127.0.0.1:0", engine, sources, ServerConfig::default()).unwrap();
+    let addr = server.local_addr().to_string();
+    let handle = std::thread::spawn(move || server.run());
+
+    let mut client = Client::connect_retry(&addr, Duration::from_secs(5)).unwrap();
+    let query = Request::Query {
+        query: test_queries()[0].xpath.to_string(),
+        options: WireOptions::default(),
+    };
+    assert!(matches!(
+        client.call(&query).unwrap(),
+        Response::Answer { .. }
+    ));
+    let resp = client
+        .call(&Request::SwapDoc {
+            path: path.to_string_lossy().into_owned(),
+        })
+        .unwrap();
+    assert!(
+        matches!(resp, Response::Swapped { epoch: 1, .. }),
+        "{resp:?}"
+    );
+    assert!(matches!(
+        client.call(&query).unwrap(),
+        Response::Answer { .. }
+    ));
+    match client.call(&Request::Stats).unwrap() {
+        Response::Stats {
+            epoch,
+            queries,
+            answered,
+            ..
+        } => {
+            assert_eq!(epoch, 1);
+            assert_eq!((queries, answered), (2, 2));
+        }
+        other => panic!("expected stats, got {other:?}"),
+    }
+    assert!(matches!(
+        client.call(&Request::Shutdown).unwrap(),
+        Response::ShuttingDown
+    ));
+    handle.join().unwrap().unwrap();
+    std::fs::remove_file(&path).unwrap();
 }
 
 /// The advisor over the wire: an `Advise` request against the resident

@@ -296,3 +296,132 @@ fn old_snapshot_survives_writes_and_shares_untouched_views() {
         "{stats:?}"
     );
 }
+
+const RACE_VIEWS: [&str; 6] = ["//s[t]/p", "//s[p]/f", "//f/i", "//s//p", "/b/s", "//*[i]"];
+const RACE_QUERIES: [&str; 7] = [
+    "//s[f//i][t]/p",
+    "//s//p",
+    "/b/s//p",
+    "//s[p]/f",
+    "/b/s[p]",
+    "//f/i",
+    "//s[.//i]",
+];
+
+/// An engine over the book document with [`RACE_VIEWS`], and the append
+/// the race tests run: a paragraph under section 0.8.2, which keeps every
+/// code and re-materializes the views naming `p` or a wildcard.
+fn race_engine() -> Engine {
+    let mut engine = Engine::new(book_document(), EngineConfig::default());
+    for v in RACE_VIEWS {
+        engine.add_view_str(v).unwrap();
+    }
+    engine
+}
+
+fn race_append(engine: &mut Engine) {
+    let stats = engine
+        .append_xml(&"0.8.2".parse::<DeweyCode>().unwrap(), "<p>new</p>")
+        .unwrap();
+    assert_eq!(stats.stability, CodeStability::Stable);
+    assert!(stats.views_rematerialized > 0 && stats.views_skipped > 0);
+}
+
+/// What a fresh engine over `engine`'s document, with the same views,
+/// answers to [`RACE_QUERIES`] (uncached).
+fn fresh_answers(engine: &Engine) -> Vec<String> {
+    let mut fresh = Engine::new(engine.doc().clone(), EngineConfig::default());
+    for v in RACE_VIEWS {
+        fresh.add_view_str(v).unwrap();
+    }
+    rendered_answers(&fresh.snapshot(), &RACE_QUERIES, false)
+}
+
+/// The rewrite cache is shared by every snapshot of an engine and kept
+/// across writes. A snapshot pinned before an append still answers from
+/// its old fragments and inserts entries computed from them *after* the
+/// append evicted the stale ones; the snapshot taken after the append
+/// must never read those entries.
+#[test]
+fn pinned_snapshot_cannot_leak_stale_cache_entries_across_an_append() {
+    let mut engine = race_engine();
+    let s0 = engine.snapshot();
+    race_append(&mut engine);
+    let s1 = engine.snapshot();
+    let want = fresh_answers(&engine);
+
+    // The old snapshot answers first, cached: entries of the old
+    // generations land in the shared cache.
+    let old = rendered_answers(&s0, &RACE_QUERIES, true);
+    assert_ne!(old, want, "the append must change some answer");
+    assert!(!s1.rewrite_cache().is_empty());
+
+    // The new snapshot, cold for its new generations and then warm, and
+    // uncached, answers exactly as a fresh engine does.
+    for pass in 0..2 {
+        assert_eq!(
+            rendered_answers(&s1, &RACE_QUERIES, true),
+            want,
+            "cached pass {pass}"
+        );
+    }
+    assert_eq!(rendered_answers(&s1, &RACE_QUERIES, false), want);
+    // And the old snapshot still answers from its own fragments.
+    assert_eq!(rendered_answers(&s0, &RACE_QUERIES, true), old);
+}
+
+/// [`pinned_snapshot_cannot_leak_stale_cache_entries_across_an_append`]
+/// with the old snapshot's readers running on other threads while the
+/// append and the swap happen, and while the new snapshot answers.
+#[test]
+fn readers_of_an_old_snapshot_race_an_append_without_leaking() {
+    use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+
+    let mut engine = race_engine();
+    let s0 = engine.snapshot();
+    let old = rendered_answers(&s0, &RACE_QUERIES, false);
+    let stop = AtomicBool::new(false);
+    let diverged = AtomicBool::new(false);
+    let rounds = AtomicUsize::new(0);
+    // Nothing in the scope asserts: a failing check must still stop the
+    // readers, or the scope would wait for them forever.
+    let (want, passes) = std::thread::scope(|scope| {
+        for _ in 0..2 {
+            scope.spawn(|| {
+                while !stop.load(Ordering::Relaxed) {
+                    if rendered_answers(&s0, &RACE_QUERIES, true) != old {
+                        diverged.store(true, Ordering::Relaxed);
+                    }
+                    rounds.fetch_add(1, Ordering::Relaxed);
+                }
+            });
+        }
+        while rounds.load(Ordering::Relaxed) == 0 {
+            std::thread::yield_now();
+        }
+        race_append(&mut engine);
+        let s1 = engine.snapshot();
+        let want = fresh_answers(&engine);
+        let seen = rounds.load(Ordering::Relaxed);
+        // Answer until the readers have finished at least two more
+        // rounds against the shared cache.
+        let mut passes = Vec::new();
+        while passes.len() < 3 || rounds.load(Ordering::Relaxed) < seen + 2 {
+            passes.push(rendered_answers(&s1, &RACE_QUERIES, true));
+            if passes.len() >= 1000 {
+                break;
+            }
+        }
+        stop.store(true, Ordering::Relaxed);
+        passes.push(rendered_answers(&s1, &RACE_QUERIES, false));
+        (want, passes)
+    });
+    assert_ne!(old, want, "the append must change some answer");
+    for (i, got) in passes.iter().enumerate() {
+        assert_eq!(got, &want, "pass {i} (the last one uncached)");
+    }
+    assert!(
+        !diverged.load(Ordering::Relaxed),
+        "the old snapshot's answers changed"
+    );
+}
