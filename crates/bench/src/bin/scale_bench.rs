@@ -14,10 +14,12 @@
 //! 2. **materialization** — wall-clock to register + materialize the view
 //!    catalog (planted views plus thousands of generated patterns at scale
 //!    1.0) under a per-view fragment budget, with `MaterializeStats`-backed
-//!    totals: fragments admitted, subtrees actually deep-copied, and
-//!    materialized nodes/second. The streaming admission path sizes each
-//!    candidate against the base document *before* extraction, so rejected
-//!    fragments never allocate.
+//!    totals: fragments admitted, materialized nodes/second (nodes counted
+//!    once per view that holds them), and the store's accounted bytes next
+//!    to its resident bytes (a subtree shared by several views counted
+//!    once). The streaming admission path sizes each candidate from the
+//!    document's footprint column *before* extraction, so rejected
+//!    fragments are neither walked nor copied.
 //! 3. **answer latency** — median per-query microseconds for the Table III
 //!    queries (Q1–Q4) against a snapshot: HV when the views answer, with a
 //!    direct-evaluation (BN) fallback when budget truncation defeats the
@@ -82,6 +84,7 @@ struct ScaleReport {
     materialized_nodes: usize,
     mat_nodes_per_sec: f64,
     store_bytes: usize,
+    resident_bytes: usize,
     query_rows: Vec<String>,
 }
 
@@ -130,12 +133,13 @@ fn run_scale(scale: f64, n_views: usize, budget: usize, reps: usize, seed: u64) 
     for &id in &ids {
         let mv = store.get(id).expect("view materialized");
         fragments += mv.fragments.len();
-        materialized_nodes += mv.fragments.trees().iter().map(XmlTree::len).sum::<usize>();
+        materialized_nodes += mv.fragments.trees().iter().map(|t| t.len()).sum::<usize>();
         if !mv.complete() {
             truncated_views += 1;
         }
     }
     let store_bytes = store.total_bytes();
+    let resident_bytes = store.resident_bytes();
     let mat_nodes_per_sec = materialized_nodes as f64 / (materialize_ms / 1e3);
 
     let queries: Vec<_> = test_queries()
@@ -192,6 +196,7 @@ fn run_scale(scale: f64, n_views: usize, budget: usize, reps: usize, seed: u64) 
         materialized_nodes,
         mat_nodes_per_sec,
         store_bytes,
+        resident_bytes,
         query_rows,
     }
 }
@@ -245,14 +250,15 @@ fn main() {
             r.nodes, r.gen_ms, r.doc_bytes_per_node, r.legacy_bytes_per_node, r.layout_savings_pct
         );
         println!(
-            "  {} views ({} truncated) materialized in {:.0} ms: {} fragments, {} nodes, {:.0} nodes/s, store {} B",
+            "  {} views ({} truncated) materialized in {:.0} ms: {} fragments, {} nodes, {:.0} nodes/s, store {} B ({} B resident)",
             r.views,
             r.truncated_views,
             r.materialize_ms,
             r.fragments,
             r.materialized_nodes,
             r.mat_nodes_per_sec,
-            r.store_bytes
+            r.store_bytes,
+            r.resident_bytes
         );
         rows.push(r);
     }
@@ -262,7 +268,7 @@ fn main() {
         .iter()
         .map(|r| {
             format!(
-                "{{\n      \"scale\": {}, \"nodes\": {}, \"gen_ms\": {:.1},\n      \"doc_heap_bytes\": {}, \"doc_bytes_per_node\": {:.2}, \"legacy_bytes_per_node\": {:.2}, \"layout_savings_pct\": {:.1},\n      \"views\": {}, \"truncated_views\": {}, \"materialize_ms\": {:.1},\n      \"fragments\": {}, \"materialized_nodes\": {}, \"mat_nodes_per_sec\": {:.0}, \"store_bytes\": {},\n      \"queries\": [{}]\n    }}",
+                "{{\n      \"scale\": {}, \"nodes\": {}, \"gen_ms\": {:.1},\n      \"doc_heap_bytes\": {}, \"doc_bytes_per_node\": {:.2}, \"legacy_bytes_per_node\": {:.2}, \"layout_savings_pct\": {:.1},\n      \"views\": {}, \"truncated_views\": {}, \"materialize_ms\": {:.1},\n      \"fragments\": {}, \"materialized_nodes\": {}, \"mat_nodes_per_sec\": {:.0}, \"store_bytes\": {}, \"resident_bytes\": {},\n      \"queries\": [{}]\n    }}",
                 r.scale,
                 r.nodes,
                 r.gen_ms,
@@ -277,6 +283,7 @@ fn main() {
                 r.materialized_nodes,
                 r.mat_nodes_per_sec,
                 r.store_bytes,
+                r.resident_bytes,
                 r.query_rows.join(", ")
             )
         })

@@ -53,6 +53,12 @@
 //!     answers every query byte-identically to a fresh engine over the
 //!     final document, cached and uncached, under every strategy
 //!     ([`Invariant::CacheCarry`]).
+//!   - Shared fragments: the engine extracts each subtree once and shares
+//!     the tree across every view that admits its root, so each view's
+//!     fragment set must equal an unshared materialization of that view —
+//!     same codes, trees, truncation and accounted bytes — once the views
+//!     are registered, and again after the cache-carry append
+//!     ([`Invariant::SharedFragments`]).
 //!
 //! Cases additionally sweep the per-view **byte budget** (ample, zero, a
 //! tight constant, exact fit — the budget resolved to precisely the
@@ -77,7 +83,7 @@ use std::path::{Path, PathBuf};
 use xvr_pattern::generator::{relax, QueryConfig, QueryGenerator};
 use xvr_pattern::{contains, eval, eval_bn, eval_restricted, parse_pattern, TreePattern};
 use xvr_xml::generator::{generate, Config};
-use xvr_xml::DeweyCode;
+use xvr_xml::{DeweyCode, FragmentSet};
 
 use xvr_core::engine::{AnswerError, Engine, EngineConfig, Strategy};
 use xvr_core::snapshot::{AnswerTrace, EngineSnapshot, QueryOptions};
@@ -115,6 +121,9 @@ pub enum Invariant {
     /// A snapshot whose rewrite cache was carried across `add_view`s and
     /// an `append_xml` answers differently from a fresh engine's.
     CacheCarry,
+    /// A view's fragment set, built with trees shared across views,
+    /// differs from an unshared materialization of the same view.
+    SharedFragments,
 }
 
 impl Invariant {
@@ -134,6 +143,7 @@ impl Invariant {
             Invariant::CoverageMonotonic => "coverage_monotonic",
             Invariant::EvalEquivalence => "eval_equivalence",
             Invariant::CacheCarry => "cache_carry",
+            Invariant::SharedFragments => "shared_fragments",
         }
     }
 
@@ -153,6 +163,7 @@ impl Invariant {
             Invariant::CoverageMonotonic,
             Invariant::EvalEquivalence,
             Invariant::CacheCarry,
+            Invariant::SharedFragments,
         ]
         .into_iter()
         .find(|i| i.as_str() == s)
@@ -641,6 +652,57 @@ fn check_view_evals(
         .collect()
 }
 
+/// Shared fragments ([`Invariant::SharedFragments`]): every view's
+/// fragment set in `snap` against a fresh, unshared
+/// [`FragmentSet::materialize_with_stats`] of the view over the snapshot's
+/// document under `budget`. `when` names the engine state in the detail;
+/// `query` only completes the reproducer.
+fn check_shared_fragments(
+    snap: &EngineSnapshot,
+    doc_cfg: &Config,
+    view_srcs: &[String],
+    budget: usize,
+    query: &str,
+    when: &str,
+) -> Vec<Violation> {
+    let doc = snap.doc();
+    snap.views()
+        .iter()
+        .filter_map(|view| {
+            let shared = &snap.store().get(view.id)?.fragments;
+            let roots = eval_bn(&view.pattern, &doc.tree, snap.node_index());
+            let (fresh, _) = FragmentSet::materialize_with_stats(doc, &roots, budget);
+            let differs = [
+                (!shared.codes().eq(fresh.codes()), "codes"),
+                (shared.trees() != fresh.trees(), "trees"),
+                (shared.truncated() != fresh.truncated(), "truncation"),
+                (shared.total_bytes() != fresh.total_bytes(), "total bytes"),
+            ];
+            let what: Vec<&str> = differs.iter().filter(|d| d.0).map(|d| d.1).collect();
+            (!what.is_empty()).then(|| Violation {
+                repro: Reproducer {
+                    doc: doc_cfg.clone(),
+                    views: view_srcs.to_vec(),
+                    query: query.to_string(),
+                    budget,
+                    invariant: Invariant::SharedFragments,
+                    strategy: None,
+                    detail: format!(
+                        "{when}: view {} differs from an unshared materialization in {} \
+                         ({} fragments, {} bytes; unshared {} fragments, {} bytes)",
+                        view.pattern.display(snap.labels()),
+                        what.join(", "),
+                        shared.len(),
+                        shared.total_bytes(),
+                        fresh.len(),
+                        fresh.total_bytes()
+                    ),
+                },
+            })
+        })
+        .collect()
+}
+
 /// The append of the cache-carry check: a copy of a small subtree of
 /// `doc`, under the subtree's own parent (found from `seed`), so the
 /// append keeps every code and re-materializes only the views naming a
@@ -723,7 +785,14 @@ fn check_cache_carry(
             .map_err(|e| format!("view `{v}`: {e}"))?;
     }
     let fresh = fresh.snapshot();
-    let mut violations = Vec::new();
+    let mut violations = check_shared_fragments(
+        &carried,
+        doc_cfg,
+        view_srcs,
+        budget,
+        query_srcs.first().map_or("", String::as_str),
+        "after the append",
+    );
     for src in query_srcs {
         let want = outcomes(&fresh, src, &cfg.strategies, false)?;
         for cached in [true, false] {
@@ -1161,6 +1230,14 @@ pub fn run_case(spec: &CaseSpec, cfg: &OracleConfig) -> CaseOutcome {
     if let Some(q) = queries.first() {
         out.violations
             .extend(check_view_evals(&snap, &spec.doc, &view_srcs, budget, q));
+        out.violations.extend(check_shared_fragments(
+            &snap,
+            &spec.doc,
+            &view_srcs,
+            budget,
+            &query_srcs[0],
+            "after registration",
+        ));
     }
     for (i, q) in queries.iter().enumerate() {
         out.merge(check_query(
@@ -1221,6 +1298,14 @@ pub fn replay(repro: &Reproducer, cfg: &OracleConfig) -> Result<Vec<Violation>, 
         &repro.views,
         repro.budget,
         &q,
+    ));
+    out.violations.extend(check_shared_fragments(
+        &snap,
+        &repro.doc,
+        &repro.views,
+        repro.budget,
+        &repro.query,
+        "after registration",
     ));
     out.violations.extend(carry);
     // Exercise batch determinism too (duplicate the query so jobs > 1
@@ -1704,6 +1789,40 @@ mod tests {
         assert_eq!(loaded.len(), 1);
         assert_eq!(loaded[0].1.to_text(), repro.to_text());
         assert_eq!(loaded[0].1.invariant, Invariant::CacheCarry);
+        std::fs::remove_dir_all(&dir).unwrap();
+        let violations = replay(&loaded[0].1, &small_cfg()).unwrap();
+        assert!(violations.is_empty(), "{violations:?}");
+    }
+
+    #[test]
+    fn shared_fragments_reproducer_round_trips_and_replays_clean() {
+        let dir = std::env::temp_dir().join(format!("xvr-oracle-shared-{}", std::process::id()));
+        let repro = Reproducer {
+            doc: Config::tiny(33),
+            views: vec![
+                "//item".into(),
+                "/site/regions//item".into(),
+                "//item[name]".into(),
+                "//*[name]".into(),
+            ],
+            query: "//item/name".into(),
+            budget: TIGHT_BUDGET,
+            invariant: Invariant::SharedFragments,
+            strategy: None,
+            detail: "after registration: view //item[name] differs from an unshared \
+                     materialization in trees"
+                .into(),
+        };
+        assert_eq!(
+            Invariant::parse("shared_fragments"),
+            Some(Invariant::SharedFragments)
+        );
+        let path = repro.write_to(&dir).unwrap();
+        assert!(repro.file_name().starts_with("shared_fragments-"));
+        assert!(path.ends_with(repro.file_name()));
+        let loaded = load_corpus(&dir).unwrap();
+        assert_eq!(loaded.len(), 1);
+        assert_eq!(loaded[0].1.to_text(), repro.to_text());
         std::fs::remove_dir_all(&dir).unwrap();
         let violations = replay(&loaded[0].1, &small_cfg()).unwrap();
         assert!(violations.is_empty(), "{violations:?}");

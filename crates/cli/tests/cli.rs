@@ -468,6 +468,16 @@ fn stats_prints_metrics_report() {
     assert!(stdout.contains("queries: 2 (2 answered)"), "{stdout}");
     assert!(stdout.contains("stage totals: filter"), "{stdout}");
     assert!(stdout.contains("rewrite"), "{stdout}");
+    // The store line: accounted per-view bytes, then resident bytes.
+    let store: Vec<u64> = stdout
+        .lines()
+        .find_map(|l| l.strip_prefix("store: "))
+        .unwrap_or_else(|| panic!("no store line: {stdout}"))
+        .split_whitespace()
+        .filter_map(|w| w.parse().ok())
+        .collect();
+    assert_eq!(store.len(), 2, "{stdout}");
+    assert!(store[0] >= store[1] && store[1] > 0, "{stdout}");
 }
 
 #[test]

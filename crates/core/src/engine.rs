@@ -24,7 +24,9 @@ use std::fmt;
 use std::sync::Arc;
 
 use xvr_pattern::{parse_pattern_with, PLabel, PatternParseError, TreePattern};
-use xvr_xml::{CodeStability, DeweyCode, Document, Label, LabelTable, NodeIndex, PathIndex};
+use xvr_xml::{
+    CodeStability, DeweyCode, Document, Label, LabelTable, NodeIndex, PathIndex, SubtreeMemo,
+};
 
 use crate::filter::build_nfa;
 use crate::materialize::MaterializedStore;
@@ -187,7 +189,8 @@ pub struct UpdateStats {
     pub stability: CodeStability,
     /// Views re-materialized because the update could affect them.
     pub views_rematerialized: usize,
-    /// Views proven unaffected (no label overlap, no wildcard).
+    /// Views proven unaffected: no label overlap, no wildcard, and no
+    /// fragment containing the insertion point.
     pub views_skipped: usize,
 }
 
@@ -256,6 +259,10 @@ impl Default for EngineConfig {
 /// the cumulative [`SnapshotMetrics`]. Every snapshot of the engine holds
 /// the same instance of each, and writes keep them, so a write neither
 /// empties the readers' cache nor resets their counts.
+///
+/// One component is the writer's alone: the [`SubtreeMemo`] of fragment
+/// trees already extracted from the current document, through which every
+/// view registration shares the subtrees earlier views admitted.
 pub struct Engine {
     doc: Arc<Document>,
     labels: Arc<LabelTable>,
@@ -263,6 +270,9 @@ pub struct Engine {
     store: Arc<MaterializedStore>,
     nfa: Arc<Nfa>,
     node_index: Arc<NodeIndex>,
+    /// Fragment trees extracted from `doc` so far, by root; cleared
+    /// whenever `doc` changes.
+    subtrees: SubtreeMemo,
     path_index: Arc<PathIndex>,
     config: EngineConfig,
     rewrite_cache: Arc<RewriteCache>,
@@ -289,6 +299,7 @@ impl Engine {
             store: Arc::new(MaterializedStore::new()),
             nfa: Arc::new(Nfa::new()),
             node_index: Arc::new(node_index),
+            subtrees: SubtreeMemo::new(),
             path_index: Arc::new(path_index),
             config,
             rewrite_cache: Arc::new(RewriteCache::new()),
@@ -390,6 +401,7 @@ impl Engine {
         Arc::make_mut(&mut self.store).materialize(
             &self.doc,
             &self.node_index,
+            &mut self.subtrees,
             &self.views,
             id,
             self.config.fragment_budget,
@@ -409,11 +421,13 @@ impl Engine {
     }
 
     /// Append an XML subtree under the node addressed by `parent_code`,
-    /// maintaining indexes and materialized views **incrementally**: only
-    /// views that mention a label of the inserted subtree (or a wildcard)
-    /// can change, so only those are re-materialized — unless the append
-    /// grew a child alphabet, which re-encodes the document and stales
-    /// every fragment (see [`CodeStability`]).
+    /// maintaining indexes and materialized views **incrementally**. A
+    /// view is re-materialized when its bindings can change — its pattern
+    /// names a label of the inserted subtree, or a wildcard — or when one
+    /// of its fragments contains the insertion point, since a fragment is
+    /// the whole subtree under its root. Other views keep their fragments,
+    /// unless the append grew a child alphabet, which re-encodes the
+    /// document and stales every fragment (see [`CodeStability`]).
     ///
     /// A re-materialized view gets a new generation, so no snapshot can
     /// read rewrite-cache entries of its old fragments; they are evicted
@@ -445,16 +459,23 @@ impl Engine {
             views_rematerialized: 0,
             views_skipped: 0,
         };
+        // Every subtree above the insertion point grew: no tree extracted
+        // before the append may be shared after it.
+        self.subtrees.clear();
         let store = Arc::make_mut(&mut self.store);
         let mut stale = HashSet::new();
         for id in self.views.ids() {
             let must = stability == CodeStability::Reencoded
-                || view_mentions(&self.views.view(id).pattern, &update_labels);
+                || view_mentions(&self.views.view(id).pattern, &update_labels)
+                || store
+                    .get(id)
+                    .is_some_and(|mv| mv.fragments.contains_node(parent_code));
             if must {
                 stale.extend(store.get(id).map(view_gen));
                 store.materialize(
                     &self.doc,
                     &self.node_index,
+                    &mut self.subtrees,
                     &self.views,
                     id,
                     self.config.fragment_budget,
@@ -723,6 +744,81 @@ mod tests {
             report.counters.get(crate::Counter::RewriteCacheEvictions),
             evictions
         );
+    }
+
+    /// The fragment trees of `view`, by root code.
+    fn trees_by_code(
+        snap: &EngineSnapshot,
+        view: ViewId,
+    ) -> std::collections::HashMap<DeweyCode, Arc<xvr_xml::XmlTree>> {
+        let set = &snap.store().get(view).unwrap().fragments;
+        set.codes().zip(set.trees().iter().cloned()).collect()
+    }
+
+    #[test]
+    fn overlapping_views_share_fragment_trees() {
+        let mut e = engine_with_views(&["//s", "/b/s"]);
+        let snap = e.snapshot();
+        let (all, top) = (ViewId(0), ViewId(1));
+        let all_trees = trees_by_code(&snap, all);
+        let top_trees = trees_by_code(&snap, top);
+        assert!(top_trees.len() < all_trees.len());
+        for (code, tree) in &top_trees {
+            assert!(Arc::ptr_eq(tree, &all_trees[code]), "{code}");
+        }
+        // The budget still charges each view for every fragment it holds;
+        // the store holds each shared tree once.
+        let store = e.store();
+        let shared: usize = top_trees.values().map(|t| t.heap_size()).sum();
+        assert_eq!(store.resident_bytes(), store.total_bytes() - shared);
+        let report = snap.metrics_report();
+        assert_eq!(report.store_bytes, store.total_bytes() as u64);
+        assert_eq!(report.resident_bytes, store.resident_bytes() as u64);
+        assert!(report.to_string().contains(&format!(
+            "store: {} bytes accounted per view, {} bytes resident",
+            report.store_bytes, report.resident_bytes
+        )));
+        // A view registered later shares too.
+        let late = e.add_view_str("//s[t]").unwrap();
+        let late_trees = trees_by_code(&e.snapshot(), late);
+        assert!(!late_trees.is_empty());
+        for (code, tree) in &late_trees {
+            assert!(Arc::ptr_eq(tree, &all_trees[code]), "{code}");
+        }
+    }
+
+    /// An append grows the fragments that contain its insertion point. A
+    /// snapshot pinned before it keeps its own trees, unchanged; the
+    /// engine's re-materialized views get new trees, which views
+    /// registered after the append share.
+    #[test]
+    fn pinned_snapshot_keeps_its_trees_across_an_append() {
+        let mut e = engine_with_views(&["/b/s", "//f/i"]);
+        let pinned = e.snapshot();
+        let (top, figures) = (ViewId(0), ViewId(1));
+        let before = trees_by_code(&pinned, top);
+        let section: DeweyCode = "0.8".parse().unwrap();
+        let size = before[&section].len();
+        e.append_xml(&"0.8.2".parse::<DeweyCode>().unwrap(), "<p>new</p>")
+            .unwrap();
+        for (code, tree) in trees_by_code(&pinned, top) {
+            assert!(Arc::ptr_eq(&tree, &before[&code]), "{code}");
+        }
+        assert_eq!(before[&section].len(), size);
+        let now = e.snapshot();
+        let after = trees_by_code(&now, top);
+        assert_eq!(after[&section].len(), size + 1);
+        assert!(!Arc::ptr_eq(&after[&section], &before[&section]));
+        // `//f/i` holds no fragment above the insertion point: kept whole.
+        assert!(std::ptr::eq(
+            pinned.store().get(figures).unwrap(),
+            now.store().get(figures).unwrap()
+        ));
+        let late = e.add_view_str("//s").unwrap();
+        let late_trees = trees_by_code(&e.snapshot(), late);
+        for (code, tree) in &after {
+            assert!(Arc::ptr_eq(tree, &late_trees[code]), "{code}");
+        }
     }
 
     #[test]

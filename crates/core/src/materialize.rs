@@ -6,6 +6,15 @@
 //! ancestors its edges reach), so registering a view costs what the view
 //! matches, not the size of the document.
 //!
+//! Fragments are sized from the document's footprint column, and each
+//! admitted subtree is extracted once per document: views materialized
+//! through one [`SubtreeMemo`] share the trees of the roots they have in
+//! common (the engine keeps that memo; the store never does, so cloning a
+//! store stays a copy of a pointer table). Sharing is invisible to the
+//! budget: [`MaterializedStore::total_bytes`] charges every view for every
+//! fragment it holds, as the paper's per-view accounting does, while
+//! [`MaterializedStore::resident_bytes`] counts each shared tree once.
+//!
 //! The paper caps each view's materialization at 128 KB (Section VI);
 //! truncated views are kept in the store but flagged — equivalent rewriting
 //! must not use them (their fragment set is incomplete), so selection skips
@@ -18,7 +27,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 use xvr_pattern::eval_bn;
-use xvr_xml::{DeweyAssignment, DeweyCode, Document, FragmentSet, NodeIndex};
+use xvr_xml::{DeweyAssignment, DeweyCode, Document, FragmentSet, NodeIndex, SubtreeMemo, XmlTree};
 
 use crate::view::{ViewId, ViewSet};
 
@@ -106,29 +115,34 @@ impl MaterializedStore {
     }
 
     /// Materialize every view of `set` over `doc` under `byte_budget` per
-    /// view (builds the document's label index once for all of them).
+    /// view (builds the document's label index once for all of them, and
+    /// shares subtrees across them).
     pub fn materialize_all(doc: &Document, set: &ViewSet, byte_budget: usize) -> MaterializedStore {
         let index = NodeIndex::build(&doc.tree, &doc.labels);
+        let mut memo = SubtreeMemo::new();
         let mut store = MaterializedStore::new();
         for view in set.iter() {
-            store.materialize(doc, &index, set, view.id, byte_budget);
+            store.materialize(doc, &index, &mut memo, set, view.id, byte_budget);
         }
         store
     }
 
     /// Materialize one view (replacing any previous materialization).
-    /// `index` is the label index of `doc` as it is now.
+    /// `index` is the label index of `doc` as it is now; `memo` holds the
+    /// trees earlier materializations over this version of `doc`
+    /// extracted, which this one shares and adds to.
     pub fn materialize(
         &mut self,
         doc: &Document,
         index: &NodeIndex,
+        memo: &mut SubtreeMemo,
         set: &ViewSet,
         id: ViewId,
         byte_budget: usize,
     ) -> &MaterializedView {
         let pattern = &set.view(id).pattern;
         let roots = eval_bn(pattern, &doc.tree, index);
-        let fragments = FragmentSet::materialize(doc, &roots, byte_budget);
+        let (fragments, _) = FragmentSet::materialize_shared(doc, &roots, byte_budget, memo);
         self.install(doc, id, fragments);
         &self.views[&id]
     }
@@ -148,9 +162,27 @@ impl MaterializedStore {
         self.views.is_empty()
     }
 
-    /// Total bytes across all views.
+    /// Total bytes across all views, in the per-view accounting the
+    /// budget caps: a tree shared by several views is charged to each.
     pub fn total_bytes(&self) -> usize {
         self.views.values().map(|v| v.size_bytes()).sum()
+    }
+
+    /// [`MaterializedStore::total_bytes`] with each distinct fragment
+    /// tree's heap counted once, however many views share it: what the
+    /// store actually holds. Codes and local Dewey components stay per
+    /// view, as they are stored.
+    pub fn resident_bytes(&self) -> usize {
+        let mut refs: HashMap<*const XmlTree, (usize, usize)> = HashMap::new();
+        for mv in self.views.values() {
+            for tree in mv.fragments.trees() {
+                refs.entry(Arc::as_ptr(tree))
+                    .or_insert_with(|| (tree.heap_size(), 0))
+                    .1 += 1;
+            }
+        }
+        let repeated: usize = refs.values().map(|&(heap, n)| heap * (n - 1)).sum();
+        self.total_bytes() - repeated
     }
 
     /// Install an externally produced materialization (e.g. loaded from
@@ -331,7 +363,7 @@ mod tests {
         assert_eq!(copy.get(v1).unwrap().generation(), g1);
         // Re-materializing, even to identical fragments, is a new one.
         let index = NodeIndex::build(&doc.tree, &doc.labels);
-        store.materialize(&doc, &index, &set, v1, usize::MAX);
+        store.materialize(&doc, &index, &mut SubtreeMemo::new(), &set, v1, usize::MAX);
         assert!(store.get(v1).unwrap().generation() > g2);
         assert_eq!(store.get(v2).unwrap().generation(), g2);
         assert_eq!(copy.get(v1).unwrap().generation(), g1);
@@ -484,8 +516,9 @@ mod tests {
         let truncated = set.add(parse_pattern_with("//s", &mut labels).unwrap());
         let index = NodeIndex::build(&doc.tree, &doc.labels);
         let mut store = MaterializedStore::new();
-        store.materialize(&doc, &index, &set, complete, usize::MAX);
-        store.materialize(&doc, &index, &set, truncated, 100);
+        let mut memo = SubtreeMemo::new();
+        store.materialize(&doc, &index, &mut memo, &set, complete, usize::MAX);
+        store.materialize(&doc, &index, &mut memo, &set, truncated, 100);
         assert!(store.get(complete).unwrap().complete());
         assert!(!store.get(truncated).unwrap().complete());
         let dir = std::env::temp_dir().join(format!("xvr-store-trunc-{}", std::process::id()));

@@ -489,6 +489,8 @@ impl SnapshotMetrics {
             counters,
             cache_entries: 0,
             cache_bytes: 0,
+            store_bytes: 0,
+            resident_bytes: 0,
         }
     }
 }
@@ -519,6 +521,17 @@ pub struct MetricsReport {
     /// Accounted bytes of the rewrite cache (a gauge, like
     /// [`Self::cache_entries`]).
     pub cache_bytes: u64,
+    /// Materialized bytes in the per-view accounting the fragment budget
+    /// caps ([`MaterializedStore::total_bytes`]; a gauge, like
+    /// [`Self::cache_entries`]).
+    ///
+    /// [`MaterializedStore::total_bytes`]: crate::MaterializedStore::total_bytes
+    pub store_bytes: u64,
+    /// Bytes the store holds, each fragment tree shared across views
+    /// counted once ([`MaterializedStore::resident_bytes`]; a gauge).
+    ///
+    /// [`MaterializedStore::resident_bytes`]: crate::MaterializedStore::resident_bytes
+    pub resident_bytes: u64,
 }
 
 impl MetricsReport {
@@ -543,6 +556,11 @@ impl fmt::Display for MetricsReport {
             f,
             "rewrite cache: {} entries, {} bytes",
             self.cache_entries, self.cache_bytes
+        )?;
+        writeln!(
+            f,
+            "store: {} bytes accounted per view, {} bytes resident",
+            self.store_bytes, self.resident_bytes
         )?;
         write!(f, "{}", self.counters)
     }

@@ -313,11 +313,14 @@ impl EngineSnapshot {
         &self.metrics
     }
 
-    /// The cumulative metrics plus the rewrite cache's current size.
+    /// The cumulative metrics plus the current size of the rewrite cache
+    /// and of the materialized store (accounted and resident).
     pub fn metrics_report(&self) -> MetricsReport {
         let mut report = self.metrics.report();
         report.cache_entries = self.rewrite_cache.len() as u64;
         report.cache_bytes = self.rewrite_cache.bytes() as u64;
+        report.store_bytes = self.store.total_bytes() as u64;
+        report.resident_bytes = self.store.resident_bytes() as u64;
         report
     }
 

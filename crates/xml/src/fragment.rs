@@ -6,18 +6,27 @@
 //! fragments of different views and reason about their ancestor label-paths
 //! without touching the base document (Section V of the paper).
 //!
-//! Storage layout: the subtree copies live in a plain `Vec<XmlTree>`
-//! (struct-of-arrays inside each tree), and the root codes live
+//! Storage layout: the subtree copies are immutable [`XmlTree`]s behind
+//! [`Arc`]s (struct-of-arrays inside each tree), and the root codes live
 //! front-coded in a [`PackedCodes`] arena, sorted in document order and in
 //! lockstep with the tree list. Materialization is **streaming**: each
-//! candidate root's full storage footprint is computed from the base
-//! document *before* any subtree is copied, so a fragment the budget
-//! rejects is never extracted at all — at XMark scale 1.0 that is the
-//! difference between a bounded pass and cloning megabytes just to throw
-//! them away.
+//! candidate root's full storage footprint is read from the document's
+//! footprint column ([`Document::subtree_footprint`]) *before* any subtree
+//! is copied, so sizing costs O(1) per root and a fragment the budget
+//! rejects is never walked or extracted at all.
+//!
+//! Views over one document overlap: the same subtree is the answer of many
+//! of them. A [`SubtreeMemo`] passed across materializations lets each
+//! root be extracted once and its tree shared by every view that admits
+//! it. Sharing changes what is resident, not what is accounted: each
+//! view's [`FragmentSet::total_bytes`] still charges every fragment it
+//! holds, which is what the per-view budget caps.
+
+use std::collections::HashMap;
+use std::sync::{Arc, Weak};
 
 use crate::dewey::DeweyCode;
-use crate::flat::{decode_code, encode_code, flat_cmp};
+use crate::flat::{decode_code, encode_code, encode_components, flat_cmp};
 use crate::packed::PackedCodes;
 use crate::tree::{Document, NodeId, XmlTree};
 
@@ -35,41 +44,20 @@ pub const FRAGMENT_SLACK_BYTES: usize = 8;
 
 /// Full storage footprint the fragment rooted at `node` *would* occupy if
 /// materialized, computed from the base document without extracting
-/// anything: the subtree's tree heap (mirroring `XmlTree::heap_size`
-/// entry-for-entry), the per-node local Dewey component, the encoded root
-/// code, and the arena slack.
+/// anything: the subtree's tree heap and per-node local Dewey component
+/// (one read of [`Document::subtree_footprint`]), the encoded root code,
+/// and the arena slack.
 pub fn fragment_footprint(doc: &Document, node: NodeId) -> usize {
-    subtree_heap_bytes(&doc.tree, node)
+    doc.subtree_footprint(node)
         + encode_code(&doc.dewey.code_of(&doc.tree, node)).len()
         + FRAGMENT_SLACK_BYTES
 }
 
-/// Tree-heap + local-Dewey bytes of the subtree at `node`, summed with the
-/// same per-entry accounting as `XmlTree::heap_size` (4-byte map key +
-/// 24-byte header + payload per text/attr entry), so it equals
-/// `extract_subtree(node).heap_size() + LOCAL_DEWEY_BYTES * size` exactly.
-fn subtree_heap_bytes(tree: &XmlTree, node: NodeId) -> usize {
-    let mut bytes = 0usize;
-    for n in tree.descendants_or_self(node) {
-        bytes += NODE_BYTES + LOCAL_DEWEY_BYTES;
-        if let Some(t) = tree.text(n) {
-            bytes += 4 + 24 + t.len();
-        }
-        let attrs = tree.attrs(n);
-        if !attrs.is_empty() {
-            bytes += 4 + 24;
-            for (_, v) in attrs {
-                bytes += 4 + 24 + v.len();
-            }
-        }
-    }
-    bytes
-}
-
 /// What [`FragmentSet::materialize_with_stats`] did: how many candidate
 /// roots were offered, sized, admitted — and how many subtrees were
-/// actually copied. `extractions == admitted` always; the field exists so
-/// tests can assert the rejected path performs **zero** extraction work.
+/// actually copied. A rejected root is never copied, and an admitted root
+/// whose tree the [`SubtreeMemo`] already holds is shared instead, so
+/// `extractions <= admitted`, with equality under a fresh memo.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct MaterializeStats {
     /// Candidate roots offered (length of the binding list).
@@ -79,16 +67,57 @@ pub struct MaterializeStats {
     /// Fragments sized and refused (at most 1: the first refusal stops the
     /// pass, leaving later candidates unsized).
     pub rejected: usize,
-    /// Subtree deep-copies performed.
+    /// Subtree deep-copies performed (admitted roots the memo did not
+    /// already hold).
     pub extractions: usize,
 }
 
+/// Fragment trees already extracted from one document, by root node, so
+/// that every view admitting the same root shares one tree.
+///
+/// Entries are [`Weak`]: the memo never keeps a tree alive that no
+/// fragment set holds any more. A memo is valid for one version of one
+/// document; clear it when the document changes, since an append changes
+/// the subtree of every ancestor of the insertion point.
+#[derive(Debug, Default)]
+pub struct SubtreeMemo {
+    trees: HashMap<NodeId, Weak<XmlTree>>,
+}
+
+impl SubtreeMemo {
+    /// An empty memo.
+    pub fn new() -> SubtreeMemo {
+        SubtreeMemo::default()
+    }
+
+    /// Forget every tree (after the document changed).
+    pub fn clear(&mut self) {
+        self.trees.clear();
+    }
+
+    /// The tree of `root`: shared when a live one is remembered, else
+    /// extracted from `doc` (counted in `stats.extractions`) and
+    /// remembered.
+    fn tree(&mut self, doc: &Document, root: NodeId, stats: &mut MaterializeStats) -> Arc<XmlTree> {
+        if let Some(tree) = self.trees.get(&root).and_then(Weak::upgrade) {
+            return tree;
+        }
+        stats.extractions += 1;
+        let tree = Arc::new(doc.tree.extract_subtree(root));
+        self.trees.insert(root, Arc::downgrade(&tree));
+        tree
+    }
+}
+
 /// All fragments of one materialized view, sorted by root code (document
-/// order): subtree copies plus a front-coded arena of their root codes.
+/// order): shared subtree trees plus a front-coded arena of their root
+/// codes.
 #[derive(Clone, Debug, Default)]
 pub struct FragmentSet {
-    /// Fragment trees, in ascending root-code order.
-    trees: Vec<XmlTree>,
+    /// Fragment trees, in ascending root-code order. Immutable once built,
+    /// and shared with every other set materialized through the same
+    /// [`SubtreeMemo`] that admitted the same root.
+    trees: Vec<Arc<XmlTree>>,
     /// Root codes, front-coded, in lockstep with `trees`. The rewriting
     /// stage's holistic join gallops over this arena (restart points keep
     /// the exponential-probe primitive intact).
@@ -110,9 +139,9 @@ impl FragmentSet {
     /// so `total_bytes() <= byte_budget` holds unconditionally and
     /// `!truncated()` really means "every binding is here".
     ///
-    /// Sizing happens against the *base document* before any copy is made
-    /// ([`fragment_footprint`]); a rejected fragment costs one subtree scan,
-    /// never an extraction.
+    /// Sizing reads the document's footprint column
+    /// ([`fragment_footprint`]) before any copy is made: a rejected
+    /// fragment costs O(1), never a subtree walk or an extraction.
     ///
     /// Returns the set even when truncated; check [`FragmentSet::truncated`]
     /// before using a truncated set for *equivalent* rewriting.
@@ -120,11 +149,27 @@ impl FragmentSet {
         FragmentSet::materialize_with_stats(doc, roots, byte_budget).0
     }
 
-    /// [`FragmentSet::materialize`] plus a work tally.
+    /// [`FragmentSet::materialize`] plus a work tally. Extracts every
+    /// admitted root (a fresh [`SubtreeMemo`]); see
+    /// [`FragmentSet::materialize_shared`] to share trees across views.
     pub fn materialize_with_stats(
         doc: &Document,
         roots: &[NodeId],
         byte_budget: usize,
+    ) -> (FragmentSet, MaterializeStats) {
+        FragmentSet::materialize_shared(doc, roots, byte_budget, &mut SubtreeMemo::new())
+    }
+
+    /// [`FragmentSet::materialize_with_stats`] that takes each admitted
+    /// root's tree from `memo` when an earlier materialization over the
+    /// same `doc` already extracted it, and remembers the trees it
+    /// extracts. Admission, order, codes and `total_bytes` do not depend
+    /// on the memo; only `stats.extractions` does.
+    pub fn materialize_shared(
+        doc: &Document,
+        roots: &[NodeId],
+        byte_budget: usize,
+        memo: &mut SubtreeMemo,
     ) -> (FragmentSet, MaterializeStats) {
         let mut stats = MaterializeStats {
             candidates: roots.len(),
@@ -135,7 +180,7 @@ impl FragmentSet {
         let mut truncated = false;
         for &r in roots {
             let code = encode_code(&doc.dewey.code_of(&doc.tree, r));
-            let sz = subtree_heap_bytes(&doc.tree, r) + code.len() + FRAGMENT_SLACK_BYTES;
+            let sz = doc.subtree_footprint(r) + code.len() + FRAGMENT_SLACK_BYTES;
             if total_bytes + sz > byte_budget {
                 truncated = true;
                 stats.rejected += 1;
@@ -156,8 +201,7 @@ impl FragmentSet {
         };
         for (code, r) in &admitted {
             set.packed.push(code);
-            set.trees.push(doc.tree.extract_subtree(*r));
-            stats.extractions += 1;
+            set.trees.push(memo.tree(doc, *r, &mut stats));
         }
         (set, stats)
     }
@@ -181,7 +225,7 @@ impl FragmentSet {
                 + code.len()
                 + FRAGMENT_SLACK_BYTES;
             set.packed.push(&code);
-            set.trees.push(tree);
+            set.trees.push(Arc::new(tree));
         }
         set
     }
@@ -208,7 +252,7 @@ impl FragmentSet {
     }
 
     /// The fragment trees, in document order of their roots.
-    pub fn trees(&self) -> &[XmlTree] {
+    pub fn trees(&self) -> &[Arc<XmlTree>] {
         &self.trees
     }
 
@@ -232,12 +276,24 @@ impl FragmentSet {
 
     /// `(root code, fragment tree)` pairs in document order.
     pub fn entries(&self) -> impl Iterator<Item = (DeweyCode, &XmlTree)> {
-        self.codes().zip(self.trees.iter())
+        self.codes().zip(self.trees.iter().map(|t| &**t))
     }
 
     /// Index of the fragment rooted at exactly `code`, if any.
     pub fn index_of_code(&self, code: &DeweyCode) -> Option<usize> {
         self.packed.binary_search(&encode_code(code)).ok()
+    }
+
+    /// True when some fragment's tree contains the node at `code`: a
+    /// fragment is rooted at `code` or at one of its ancestors. One
+    /// arena search per prefix of `code`.
+    pub fn contains_node(&self, code: &DeweyCode) -> bool {
+        let comps = code.components();
+        (1..=comps.len()).any(|k| {
+            self.packed
+                .binary_search(&encode_components(&comps[..k]))
+                .is_ok()
+        })
     }
 
     /// Root codes in front-coded byte-comparable form (ascending, in
@@ -487,9 +543,72 @@ mod tests {
         check(&set);
         assert_eq!(set.len(), 4);
         assert!(set.total_bytes() < before);
-        let rebuilt = FragmentSet::from_parts(set.codes().collect(), set.trees().to_vec(), false);
+        let trees = set.trees().iter().map(|t| XmlTree::clone(t)).collect();
+        let rebuilt = FragmentSet::from_parts(set.codes().collect(), trees, false);
         check(&rebuilt);
         assert_eq!(rebuilt.total_bytes(), set.total_bytes());
+    }
+
+    /// Two overlapping views through one memo: the second shares every
+    /// tree the first extracted and copies only the roots it adds, while
+    /// its set equals an unshared materialization.
+    #[test]
+    fn overlapping_views_share_trees_and_extract_only_new_roots() {
+        let doc = book_document();
+        let s = doc.labels.get("s").unwrap();
+        let all: Vec<NodeId> = doc
+            .tree
+            .iter()
+            .filter(|&n| doc.tree.label(n) == s)
+            .collect();
+        let half = &all[..all.len() / 2];
+        let mut memo = SubtreeMemo::new();
+        let (first, first_stats) =
+            FragmentSet::materialize_shared(&doc, half, usize::MAX, &mut memo);
+        assert_eq!(first_stats.extractions, half.len());
+        let (second, stats) = FragmentSet::materialize_shared(&doc, &all, usize::MAX, &mut memo);
+        assert_eq!(stats.admitted, all.len());
+        assert_eq!(stats.extractions, all.len() - half.len(), "only new roots");
+        for (i, code) in first.codes().enumerate() {
+            let j = second.index_of_code(&code).unwrap();
+            assert!(Arc::ptr_eq(&first.trees()[i], &second.trees()[j]));
+        }
+        let (unshared, fresh) = FragmentSet::materialize_with_stats(&doc, &all, usize::MAX);
+        assert_eq!(fresh.extractions, all.len());
+        assert_eq!(unshared.total_bytes(), second.total_bytes());
+        assert_eq!(unshared.trees(), second.trees());
+        assert!(unshared.codes().eq(second.codes()));
+    }
+
+    /// The memo holds its trees weakly: once no set keeps a tree, the
+    /// next materialization extracts it again.
+    #[test]
+    fn memo_does_not_keep_dropped_trees_alive() {
+        let doc = book_document();
+        let roots = p_nodes(&doc);
+        let mut memo = SubtreeMemo::new();
+        let (set, _) = FragmentSet::materialize_shared(&doc, &roots, usize::MAX, &mut memo);
+        drop(set);
+        let (_, stats) = FragmentSet::materialize_shared(&doc, &roots, usize::MAX, &mut memo);
+        assert_eq!(stats.extractions, roots.len());
+    }
+
+    #[test]
+    fn contains_node_finds_fragments_rooted_at_ancestors_or_self() {
+        let doc = book_document();
+        let s = doc.labels.get("s").unwrap();
+        // Top-level sections only: `/b/s`.
+        let roots: Vec<NodeId> = doc
+            .tree
+            .children(doc.tree.root())
+            .filter(|&n| doc.tree.label(n) == s)
+            .collect();
+        let set = FragmentSet::materialize(&doc, &roots, usize::MAX);
+        for n in doc.tree.iter() {
+            let code = doc.dewey.code_of(&doc.tree, n);
+            let inside = roots.iter().any(|&r| doc.tree.is_ancestor_or_self(r, n));
+            assert_eq!(set.contains_node(&code), inside, "{code}");
+        }
     }
 
     #[test]

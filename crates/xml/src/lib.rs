@@ -38,7 +38,7 @@ pub mod tree;
 pub use dewey::{DeweyAssignment, DeweyCode};
 pub use error::ParseError;
 pub use flat::{encode_code, flat_cmp, flat_is_prefix, intersect_many, CmpStats, FlatCodes};
-pub use fragment::{fragment_footprint, FragmentSet, MaterializeStats};
+pub use fragment::{fragment_footprint, FragmentSet, MaterializeStats, SubtreeMemo};
 pub use fst::Fst;
 pub use index::{NodeIndex, PathIndex};
 pub use label::{Label, LabelTable};

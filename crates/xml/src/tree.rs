@@ -21,6 +21,7 @@
 use std::collections::HashMap;
 
 use crate::dewey::DeweyAssignment;
+use crate::fragment::{LOCAL_DEWEY_BYTES, NODE_BYTES};
 use crate::fst::Fst;
 use crate::label::{Label, LabelTable};
 
@@ -43,7 +44,11 @@ const NONE: u32 = u32::MAX;
 /// The tree does not own a [`LabelTable`]; callers thread the table
 /// alongside so that documents, fragments, and patterns can share one label
 /// space (the paper's alphabet `L`).
-#[derive(Clone, Debug, Default)]
+///
+/// Equality compares the columns and side maps, so two trees are equal
+/// when they have the same labels, shape and payload under the same node
+/// numbering (as two extractions of one subtree do).
+#[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct XmlTree {
     /// Element label per node, interned in the document's [`LabelTable`].
     labels: Vec<Label>,
@@ -65,6 +70,21 @@ pub struct XmlTree {
 #[inline]
 fn link(raw: u32) -> Option<NodeId> {
     (raw != NONE).then_some(NodeId(raw))
+}
+
+/// Heap bytes charged for one text entry: 4-byte map key + 24-byte
+/// `String` header + payload.
+#[inline]
+fn text_entry_bytes(text: &str) -> usize {
+    4 + 24 + text.len()
+}
+
+/// Heap bytes charged for one attribute-list entry: 4-byte map key +
+/// 24-byte `Vec` header, then 4-byte label + 24-byte `String` header +
+/// payload per attribute.
+#[inline]
+fn attrs_entry_bytes(attrs: &[(Label, String)]) -> usize {
+    4 + 24 + attrs.iter().map(|(_, v)| 4 + 24 + v.len()).sum::<usize>()
 }
 
 impl XmlTree {
@@ -372,20 +392,17 @@ impl XmlTree {
     /// sparse text/attribute maps charged at entry granularity (key +
     /// header + payload).
     pub fn heap_size(&self) -> usize {
-        let mut bytes = self.labels.len() * (4 + 4 + 4 + 4 + 4);
-        // Map entry: 4-byte key + 24-byte String header + payload.
-        for t in self.texts.values() {
-            bytes += 4 + 24 + t.len();
-        }
-        // Map entry: 4-byte key + 24-byte Vec header, then 4-byte label +
-        // 24-byte String header + payload per attribute.
-        for a in self.attrs.values() {
-            bytes += 4 + 24;
-            for (_, v) in a {
-                bytes += 4 + 24 + v.len();
-            }
-        }
-        bytes
+        let texts: usize = self.texts.values().map(|t| text_entry_bytes(t)).sum();
+        let attrs: usize = self.attrs.values().map(|a| attrs_entry_bytes(a)).sum();
+        self.labels.len() * NODE_BYTES + texts + attrs
+    }
+
+    /// The share of [`XmlTree::heap_size`] that node `id` alone accounts
+    /// for: its columns plus its text and attribute entries.
+    fn node_heap_bytes(&self, id: NodeId) -> usize {
+        NODE_BYTES
+            + self.text(id).map_or(0, text_entry_bytes)
+            + self.attrs.get(&id.0).map_or(0, |a| attrs_entry_bytes(a))
     }
 }
 
@@ -468,26 +485,43 @@ impl Iterator for DescendantsOrSelf<'_> {
 pub struct Document {
     /// Shared label space.
     pub labels: LabelTable,
-    /// The element tree.
+    /// The element tree. Grow it only through [`Document::append_subtree`],
+    /// which keeps the derived columns below in step.
     pub tree: XmlTree,
     /// Extended Dewey components per node.
     pub dewey: DeweyAssignment,
     /// Finite state transducer decoding Dewey codes to label-paths.
     pub fst: Fst,
+    /// Subtree footprint per node; see [`Document::subtree_footprint`].
+    footprints: Vec<usize>,
 }
 
 impl Document {
     /// Build a document from a tree and its label table, computing the
-    /// extended Dewey assignment and the FST.
+    /// extended Dewey assignment, the FST and the subtree footprints.
     pub fn from_tree(labels: LabelTable, tree: XmlTree) -> Document {
         let fst = Fst::from_tree(&tree, &labels);
         let dewey = DeweyAssignment::assign(&tree, &fst);
+        let mut footprints = Vec::with_capacity(tree.len());
+        extend_footprints(&tree, &mut footprints);
         Document {
             labels,
             tree,
             dewey,
             fst,
+            footprints,
         }
+    }
+
+    /// Bytes the subtree rooted at `node` occupies as a materialized
+    /// fragment tree, read from a column instead of walking the subtree:
+    /// the tree heap, with the same per-entry accounting as
+    /// [`XmlTree::heap_size`], plus the local Dewey component of every node
+    /// (`LOCAL_DEWEY_BYTES`). It equals
+    /// `extract_subtree(node).heap_size() + LOCAL_DEWEY_BYTES * size`.
+    #[inline]
+    pub fn subtree_footprint(&self, node: NodeId) -> usize {
+        self.footprints[node.index()]
     }
 
     /// Number of element nodes.
@@ -531,6 +565,13 @@ impl Document {
             }
         }
         let new_node = self.tree.append_subtree(parent, sub);
+        // The new subtree's footprints, then its total added to every
+        // ancestor-or-self of the insertion point.
+        extend_footprints(&self.tree, &mut self.footprints);
+        let added = self.footprints[new_node.index()];
+        for a in self.tree.ancestors_or_self(parent) {
+            self.footprints[a.index()] += added;
+        }
         if grows {
             self.fst = Fst::from_tree(&self.tree, &self.labels);
             self.dewey = DeweyAssignment::assign(&self.tree, &self.fst);
@@ -562,6 +603,24 @@ impl Document {
                 .find(|&c| self.dewey.component(c) == target)?;
         }
         Some(cur)
+    }
+}
+
+/// Extend the footprint column `col` to the nodes of `tree` it does not
+/// cover yet, which must form one subtree (the whole tree, or one
+/// appended subtree): each new node's own bytes, then, highest id first,
+/// each added into its parent's within the subtree. Every node is created
+/// after its parent (`add_child` pushes), so a parent's id is below its
+/// children's and the descending pass sums whole subtrees bottom-up.
+fn extend_footprints(tree: &XmlTree, col: &mut Vec<usize>) {
+    let first = col.len();
+    col.extend(
+        (first..tree.len()).map(|n| tree.node_heap_bytes(NodeId(n as u32)) + LOCAL_DEWEY_BYTES),
+    );
+    for n in (first + 1..tree.len()).rev() {
+        let p = tree.parents[n] as usize;
+        debug_assert!(first <= p && p < n, "a parent precedes its children");
+        col[p] += col[n];
     }
 }
 

@@ -4,7 +4,7 @@
 use proptest::prelude::*;
 
 use xvr_xml::serializer::{serialize, serialize_pretty};
-use xvr_xml::{parse_document, Document, LabelTable, XmlTree};
+use xvr_xml::{parse_document, CodeStability, Document, LabelTable, XmlTree};
 
 /// A random tree over a small alphabet, as a recursive shape description.
 #[derive(Debug, Clone)]
@@ -116,24 +116,59 @@ proptest! {
         }
     }
 
-    /// Fragment extraction preserves subtree structure for every node.
+    /// Fragment extraction preserves subtree structure for every node, and
+    /// the document's footprint column equals the extraction accounting
+    /// for every node: after `from_tree`, after an append that keeps the
+    /// codes, and after one that re-encodes the document.
     #[test]
     fn subtree_extraction(s in shape()) {
         let (labels, tree) = build(&s);
-        let doc = Document::from_tree(labels, tree);
-        for n in doc.tree.iter().step_by(3) {
-            let sub = doc.tree.extract_subtree(n);
-            prop_assert_eq!(sub.len(), doc.tree.subtree_size(n));
-            prop_assert_eq!(sub.label(sub.root()), doc.tree.label(n));
-            prop_assert_eq!(
-                xvr_xml::fragment_footprint(&doc, n),
-                sub.heap_size()
-                    + sub.len() * xvr_xml::fragment::LOCAL_DEWEY_BYTES
-                    + xvr_xml::encode_code(&doc.dewey.code_of(&doc.tree, n)).len()
-                    + xvr_xml::fragment::FRAGMENT_SLACK_BYTES
-            );
+        let mut doc = Document::from_tree(labels, tree);
+        check_footprints(&doc)?;
+        // Stable: a copy of a child subtree under its own parent uses only
+        // known label pairs.
+        let parent = doc.tree.iter().find(|&n| doc.tree.has_children(n));
+        if let Some(n) = parent {
+            let copy = doc.tree.extract_subtree(doc.tree.last_child(n).unwrap());
+            let (_, stability) = doc.append_subtree(n, &copy);
+            prop_assert_eq!(stability, CodeStability::Stable);
+            check_footprints(&doc)?;
         }
+        // Re-encoding: a label never seen under any parent, with text and
+        // attributes, under a node deep in the tree.
+        let z = doc.labels.intern("z");
+        let id = doc.labels.get("id").unwrap();
+        let mut sub = XmlTree::new();
+        let r = sub.add_root(z);
+        sub.add_attr(r, id, "k1");
+        sub.add_attr(r, id, "second");
+        let c = sub.add_child(r, z);
+        sub.set_text(c, "payload");
+        let deep = doc.tree.iter().max_by_key(|&n| doc.tree.depth(n)).unwrap();
+        let (_, stability) = doc.append_subtree(deep, &sub);
+        prop_assert_eq!(stability, CodeStability::Reencoded);
+        check_footprints(&doc)?;
     }
+}
+
+/// Every node's column entry and [`xvr_xml::fragment_footprint`] against
+/// the extracted subtree's own accounting.
+fn check_footprints(doc: &Document) -> Result<(), TestCaseError> {
+    use xvr_xml::fragment::{FRAGMENT_SLACK_BYTES, LOCAL_DEWEY_BYTES};
+    for n in doc.tree.iter() {
+        let sub = doc.tree.extract_subtree(n);
+        prop_assert_eq!(sub.len(), doc.tree.subtree_size(n));
+        prop_assert_eq!(sub.label(sub.root()), doc.tree.label(n));
+        let tree_bytes = sub.heap_size() + sub.len() * LOCAL_DEWEY_BYTES;
+        prop_assert_eq!(doc.subtree_footprint(n), tree_bytes);
+        prop_assert_eq!(
+            xvr_xml::fragment_footprint(doc, n),
+            tree_bytes
+                + xvr_xml::encode_code(&doc.dewey.code_of(&doc.tree, n)).len()
+                + FRAGMENT_SLACK_BYTES
+        );
+    }
+    Ok(())
 }
 
 /// One Dewey component spanning every varint class of the flat encoding:

@@ -250,3 +250,49 @@ fn rematerialized_views_equal_a_fresh_engine() {
         assert_eq!(got.0, dense, "{shown}");
     }
 }
+
+/// A view's fragments are whole subtrees, so an append inside one changes
+/// the view's materialization even when its pattern names none of the
+/// appended labels. Each case appends `<p>new</p>` under section 0.8.2,
+/// inside fragments of a view that mentions only `b` and `s`; the query
+/// then reaches the new paragraph through that view. Every strategy must
+/// agree with `Bn` and with a fresh engine over the updated document.
+#[test]
+fn append_inside_a_fragment_rematerializes_the_view() {
+    for (view, qsrc) in [("/b/s", "/b/s//p"), ("//s", "//s/p"), ("/b/s", "/b/s/s/p")] {
+        let mut engine = Engine::new(book_document(), EngineConfig::default());
+        engine.add_view_str(view).unwrap();
+        let stats = engine
+            .append_xml(&"0.8.2".parse::<DeweyCode>().unwrap(), "<p>new</p>")
+            .unwrap();
+        assert_eq!(stats.stability, CodeStability::Stable);
+        assert_eq!(
+            (stats.views_rematerialized, stats.views_skipped),
+            (1, 0),
+            "{view}"
+        );
+        let mut fresh = Engine::new(engine.doc().clone(), EngineConfig::default());
+        fresh.add_view_str(view).unwrap();
+        let q = engine.parse(qsrc).unwrap();
+        let direct = engine.answer(&q, Strategy::Bn).unwrap().codes;
+        assert!(
+            direct.contains(&"0.8.2.5".parse().unwrap()),
+            "{qsrc}: the appended paragraph is an answer"
+        );
+        let fq = fresh.parse(qsrc).unwrap();
+        for strategy in Strategy::all_extended() {
+            let got = engine.answer(&q, strategy).map(|a| a.codes);
+            assert_eq!(
+                got,
+                fresh.answer(&fq, strategy).map(|a| a.codes),
+                "{view} / {qsrc} under {strategy}: fresh engine"
+            );
+            if strategy == Strategy::Hv {
+                assert!(got.is_ok(), "{view} answers {qsrc}");
+            }
+            if let Ok(codes) = got {
+                assert_eq!(codes, direct, "{view} / {qsrc} under {strategy}: Bn");
+            }
+        }
+    }
+}

@@ -374,6 +374,7 @@ fn server_request_response_cycle() {
             assert_eq!(answered, 1 + 4);
             assert!(requests >= 7);
             assert!(report.contains("rewrite cache: "), "{report}");
+            assert!(report.contains("bytes resident"), "{report}");
         }
         other => panic!("expected stats, got {other:?}"),
     }

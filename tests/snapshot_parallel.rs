@@ -262,13 +262,16 @@ fn old_snapshot_survives_writes_and_shares_untouched_views() {
     assert_eq!(rendered_answers(&old, &queries, true), before);
     assert_eq!(rendered_answers(&old, &queries, false), before);
 
-    // The append redoes exactly the views that mention `p` or a wildcard.
+    // The append redoes exactly the views that mention `p` or a wildcard,
+    // and those with a fragment containing the insertion point.
     let p = new.labels().get("p").unwrap();
+    let at = "0.8.2".parse::<DeweyCode>().unwrap();
     let redone = |snap: &EngineSnapshot, id| {
         let pattern = &snap.views().view(id).pattern;
         pattern
             .ids()
             .any(|n| pattern.label(n).label().is_none_or(|l| l == p))
+            || snap.store().get(id).unwrap().fragments.contains_node(&at)
     };
     for (snap, what) in [(&old, "old"), (&added, "pre-append")] {
         let mut unshared = 0;
