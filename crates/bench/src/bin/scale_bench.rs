@@ -1,7 +1,7 @@
 //! Corpus-scaling benchmark: document storage footprint, streaming view
 //! materialization throughput, and answer latency as the XMark-style
 //! document grows from scale 0.01 to 1.0 — the workload the compact
-//! struct-of-arrays node layout and the front-coded Dewey arena exist for.
+//! struct-of-arrays node layout exists for.
 //!
 //! Per scale the benchmark reports:
 //!

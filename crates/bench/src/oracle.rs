@@ -673,7 +673,7 @@ fn check_shared_fragments(
             let roots = eval_bn(&view.pattern, &doc.tree, snap.node_index());
             let (fresh, _) = FragmentSet::materialize_with_stats(doc, &roots, budget);
             let differs = [
-                (!shared.codes().eq(fresh.codes()), "codes"),
+                (shared.flat_codes() != fresh.flat_codes(), "codes"),
                 (shared.trees() != fresh.trees(), "trees"),
                 (shared.truncated() != fresh.truncated(), "truncation"),
                 (shared.total_bytes() != fresh.total_bytes(), "total bytes"),

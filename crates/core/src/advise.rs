@@ -6,7 +6,7 @@
 //! closes the loop with the machinery this system already has:
 //!
 //! 1. **Cluster** the workload by structural similarity of the queries'
-//!    normalized tree patterns ([`xvr_pattern::similarity`]) — the
+//!    normalized tree patterns ([`xvr_pattern::similarity()`]) — the
 //!    query-clustering shape of Mahboubi et al.
 //! 2. **Generalize** each cluster's representative into a candidate view
 //!    with repeated applications of the sound [`xvr_pattern::relax`]
@@ -69,7 +69,7 @@ impl Workload {
     /// Parse a workload file's text: one XPath per line, blank lines and
     /// `#` comments skipped, CRLF tolerated, duplicate queries folded
     /// into the first occurrence's frequency (see
-    /// [`clean_lines`](crate::catalog::clean_lines) for the line rules).
+    /// [`clean_lines`] for the line rules).
     pub fn parse(text: &str) -> Result<Workload, QueryError> {
         Workload::from_sources(clean_lines(text))
     }

@@ -160,7 +160,7 @@ pub fn leaf_cover(
 /// The leaf-cover of `v` used as a member of an *intersection* rewrite:
 /// the answer image is pinned to `m = RET(Q)` itself, and coverage may
 /// additionally use the **document-anchored prefix pinning** rule (see
-/// [`prefix_pinned_covered`]), which is unavailable to the per-obligation
+/// `prefix_pinned_covered`), which is unavailable to the per-obligation
 /// composable rule the greedy selection runs on. Returns `None` when no
 /// homomorphism `v → q` maps `RET(v)` onto `RET(Q)` — the completeness
 /// precondition of intersection rewriting (each member must contain the

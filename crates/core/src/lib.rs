@@ -11,11 +11,11 @@
 //!    *leaf-cover* criterion decides whether a set of views can answer the
 //!    query; an exhaustive search finds the *minimum* set, the paper's
 //!    greedy heuristic (Algorithm 2) a *minimal* one.
-//! 3. **Rewriting** ([`materialize`], [`rewrite`]): per-view fragment
-//!    refinement (compensating predicates pushed down), a holistic join of
-//!    fragment roots purely over extended Dewey codes + the FST, and final
-//!    answer extraction from the anchor view's fragments. The base document
-//!    is never touched.
+//! 3. **Rewriting** ([`materialize`], [`rewrite`](mod@rewrite)): per-view
+//!    fragment refinement (compensating predicates pushed down), a holistic
+//!    join of fragment roots purely over extended Dewey codes + the FST, and
+//!    final answer extraction from the anchor view's fragments. The base
+//!    document is never touched.
 //!
 //! [`engine`] wires everything into a store-and-query façade with per-stage
 //! timing, including the paper's evaluation baselines (`BN`, `BF`, `MN`,

@@ -27,6 +27,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 use xvr_pattern::eval_bn;
+use xvr_xml::flat::components;
 use xvr_xml::{DeweyAssignment, DeweyCode, Document, FragmentSet, NodeIndex, SubtreeMemo, XmlTree};
 
 use crate::view::{ViewId, ViewSet};
@@ -66,11 +67,14 @@ impl MaterializedView {
         self.generation
     }
 
-    /// Global code of `node` inside fragment `frag_idx`.
+    /// Global code of `node` inside fragment `frag_idx`: the fragment
+    /// root's code, read out of the code arena, extended with the node's
+    /// local components below the root.
     pub fn global_code(&self, frag_idx: usize, node: xvr_xml::NodeId) -> DeweyCode {
         let tree = self.fragments.tree(frag_idx);
         let local = self.local_dewey[frag_idx].code_of(tree, node);
-        let mut comps = self.fragments.code(frag_idx).0;
+        let root = self.fragments.flat_codes().get(frag_idx);
+        let mut comps: Vec<u32> = components(root).map(|(c, _)| c).collect();
         comps.extend_from_slice(&local.components()[1..]);
         DeweyCode(comps)
     }
@@ -78,13 +82,6 @@ impl MaterializedView {
     /// Index of the fragment rooted at `code`, if any.
     pub fn fragment_by_code(&self, code: &DeweyCode) -> Option<usize> {
         self.fragments.index_of_code(code)
-    }
-
-    /// Fragment root codes, front-coded and byte-comparable (ascending, in
-    /// lockstep with the fragment list) — the arena the rewriting stage's
-    /// galloping join decodes its refined code lists out of.
-    pub fn packed_codes(&self) -> &xvr_xml::PackedCodes {
-        self.fragments.packed_codes()
     }
 
     /// Is this view usable for *equivalent* rewriting?
@@ -317,7 +314,12 @@ impl MaterializedStore {
                 codes.push(code);
                 trees.push(tree);
             }
-            let fragments = FragmentSet::from_parts(codes, trees, truncated);
+            let fragments = FragmentSet::from_parts(codes, trees, truncated).map_err(|code| {
+                bad(format!(
+                    "{}: fragment code {code} is listed twice",
+                    path.display()
+                ))
+            })?;
             let id = views.add(pattern);
             self.install(doc, id, fragments);
             loaded.push(id);
@@ -449,6 +451,32 @@ mod tests {
         let mut store = MaterializedStore::new();
         let err = store.load(&doc, &mut set, &mut labels, &dir).unwrap_err();
         assert!(err.to_string().contains("different label"), "{err}");
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    /// Regression: a view file that lists one fragment code twice used to
+    /// load, leaving a code arena that is not strictly sorted, which
+    /// fragment lookups and the join's galloping rely on.
+    #[test]
+    fn load_rejects_duplicate_fragment_codes() {
+        let doc = book_document();
+        let dir = std::env::temp_dir().join(format!("xvr-store-dup-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let load = |body: &str| {
+            std::fs::write(dir.join("v0000.view"), body).unwrap();
+            let mut labels = doc.labels.clone();
+            let mut set = ViewSet::new();
+            MaterializedStore::new().load(&doc, &mut set, &mut labels, &dir)
+        };
+        let header = "# xvr-view v1 truncated=false\n//s/p\n";
+        load(&format!("{header}0.8.6.1\t<p/>\n")).unwrap();
+        let err = load(&format!("{header}0.8.6.1\t<p/>\n0.8.6.1\t<p>x</p>\n")).unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::InvalidData);
+        assert!(
+            err.to_string()
+                .contains("fragment code 0.8.6.1 is listed twice"),
+            "{err}"
+        );
         std::fs::remove_dir_all(&dir).unwrap();
     }
 

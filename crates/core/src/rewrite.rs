@@ -473,7 +473,7 @@ impl RewriteCache {
         }
     }
 
-    /// Accounted bytes of the live entries (at most [`Self::cap`]).
+    /// Accounted bytes of the live entries (at most the cache's cap).
     pub fn bytes(&self) -> usize {
         self.clock.read().expect(POISONED).bytes
     }
@@ -556,17 +556,14 @@ fn superset_tree(
     store: &MaterializedStore,
     fst: &Fst,
 ) -> Result<PrefixTree, RewriteError> {
-    let mut all: Vec<Vec<u8>> = Vec::new();
+    let mut all: Vec<&[u8]> = Vec::new();
     for &(v, _) in key {
         let mv = store.get(v).expect("selected views are materialized");
-        let mut cur = mv.packed_codes().cursor();
-        while let Some(code) = cur.advance() {
-            all.push(code.to_vec());
-        }
+        all.extend(mv.fragments.flat_codes().iter());
     }
     all.sort_unstable_by(|a, b| flat_cmp(a, b));
     all.dedup();
-    PrefixTree::build_sorted(all.iter().map(|c| c.as_slice()), fst)
+    PrefixTree::build_sorted(all, fst)
 }
 
 /// Which fragments of `mv` have an FST-decoded ancestor path embedding the
@@ -579,10 +576,13 @@ fn chain_bits(
     counters: &mut StageCounters,
 ) -> Result<Vec<u64>, RewriteError> {
     let mut bits = vec![0u64; mv.fragments.len().div_ceil(64)];
-    for (fi, code) in mv.fragments.codes().enumerate() {
+    let mut comps: Vec<u32> = Vec::new();
+    for (fi, code) in mv.fragments.flat_codes().iter().enumerate() {
+        comps.clear();
+        comps.extend(flat::components(code).map(|(c, _)| c));
         let path = fst
-            .decode(code.components())
-            .ok_or_else(|| RewriteError::UndecodableCode(code.clone()))?;
+            .decode(&comps)
+            .ok_or_else(|| RewriteError::UndecodableCode(mv.fragments.code(fi)))?;
         // The positional DP walks the decoded ancestor path once per
         // chain node.
         counters.add(
@@ -615,9 +615,8 @@ fn compute_refined(
     let label = compensating.label(compensating.root());
     let mut codes = FlatCodes::new();
     counters.add(Counter::RewriteFragmentsScanned, mv.fragments.len() as u64);
-    let mut cur = mv.fragments.packed_codes().cursor();
-    for tree in mv.fragments.trees() {
-        let code = cur.advance().expect("code arena in lockstep with trees");
+    let fragments = &mv.fragments;
+    for (tree, code) in fragments.trees().iter().zip(fragments.flat_codes().iter()) {
         let keep = if is_trivial(compensating) {
             // matches_anchored on a single attr-free node is exactly a
             // root label check.
@@ -649,9 +648,9 @@ fn compute_anchor_pairs(
         frag: Vec::new(),
     };
     counters.add(Counter::RewriteFragmentsScanned, mv.fragments.len() as u64);
-    let mut cur = mv.fragments.packed_codes().cursor();
-    for (fi, tree) in mv.fragments.trees().iter().enumerate() {
-        let code = cur.advance().expect("code arena in lockstep with trees");
+    let fragments = &mv.fragments;
+    let codes = fragments.flat_codes().iter();
+    for (fi, (tree, code)) in fragments.trees().iter().zip(codes).enumerate() {
         let globals: Vec<DeweyCode> = if trivial_answer_is_root {
             if !label.matches(tree.label(tree.root())) {
                 continue;

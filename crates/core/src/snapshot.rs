@@ -14,9 +14,9 @@
 //! Answering goes through the single entry point
 //! [`EngineSnapshot::query`]: [`QueryOptions`] pick the strategy, cache
 //! use, and whether to collect the observability payload — stage
-//! timings, [`StageCounters`](crate::metrics::StageCounters), and the
+//! timings, [`StageCounters`], and the
 //! [`AnswerTrace`] — returned as a
-//! [`QueryReport`](crate::metrics::QueryReport) inside the
+//! [`QueryReport`] inside the
 //! [`QueryOutcome`]. `query` and `query_batch` are the *only* answering
 //! entry points — the pre-redesign `answer*` methods are gone — and the
 //! serve wire protocol ([`crate::wire`]) is a direct encoding of

@@ -2,7 +2,7 @@
 //! encoding of the engine's public query API.
 //!
 //! [`Request`]/[`Response`] are a thin wire rendering of
-//! [`QueryOptions`](crate::QueryOptions)/[`QueryOutcome`](crate::QueryOutcome):
+//! [`QueryOptions`]/[`QueryOutcome`](crate::QueryOutcome):
 //! the protocol *is* the public API — a [`Request::Query`] carries exactly
 //! the knobs `EngineSnapshot::query` takes, and a [`Response::Answer`]
 //! carries exactly what a [`QueryOutcome`](crate::QueryOutcome) reports
@@ -147,7 +147,7 @@ impl fmt::Display for Status {
 }
 
 /// The query knobs that travel over the wire: exactly
-/// [`QueryOptions`](crate::QueryOptions) minus `collect_trace` (traces
+/// [`QueryOptions`] minus `collect_trace` (traces
 /// are an in-process introspection hook; servers fold metrics instead).
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct WireOptions {

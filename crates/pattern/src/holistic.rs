@@ -47,7 +47,8 @@ fn has_descendant_in(codes: &[DeweyCode], anc: &DeweyCode) -> bool {
 }
 
 /// Join candidate code lists (one **sorted** list per pattern node, indexed
-/// by [`PNodeId`]) into the set of answer-node binding codes.
+/// by [`PNodeId`](crate::PNodeId)) into the set of answer-node binding
+/// codes.
 ///
 /// The label constraints are assumed already enforced on the candidate
 /// lists; this join enforces the positional constraints: `/`-edges bind

@@ -6,18 +6,20 @@
 //! algorithm the contribution builds on:
 //!
 //! * a parser and printer for the fragment ([`parse`]),
-//! * root-to-leaf **decomposition** `D(Q)` ([`decompose`]),
-//! * path-pattern **normalization** `N(P)` ([`normalize`], Section III-C),
+//! * root-to-leaf **decomposition** `D(Q)` ([`decompose`](mod@decompose)),
+//! * path-pattern **normalization** `N(P)` ([`normalize`](mod@normalize),
+//!   Section III-C),
 //! * **homomorphism** enumeration between tree patterns ([`hom`]),
 //! * **containment** tests: the PTIME homomorphism test plus a complete
 //!   canonical-model decision procedure for small patterns ([`containment`]),
-//! * tree-pattern **minimization** ([`minimize`]),
+//! * tree-pattern **minimization** ([`minimize`](mod@minimize)),
 //! * **evaluation** engines over documents: one sparse evaluator seeded by
 //!   a pre-order walk or by the node index (`BN`), path-index assisted
-//!   (`BF`), and a Dewey-code holistic twig join ([`eval`], [`holistic`]),
+//!   (`BF`), and a Dewey-code holistic twig join ([`eval`](mod@eval),
+//!   [`holistic`]),
 //! * a YFilter-style random **query generator** ([`generator`]),
 //! * structural **similarity** and deterministic workload clustering
-//!   ([`similarity`]).
+//!   ([`similarity`](mod@similarity)).
 
 pub mod containment;
 pub mod decompose;

@@ -5,8 +5,8 @@
 //! predicates are answered on sorted `(start, end, level)` regions: a
 //! descendant probe is one binary search into the start-sorted list, a
 //! child probe additionally constrains the level via per-level sublists.
-//! The pass structure mirrors [`crate::eval`]: bottom-up candidate
-//! filtering, then a top-down sweep along the trunk.
+//! The pass structure mirrors [`crate::eval`](mod@crate::eval): bottom-up
+//! candidate filtering, then a top-down sweep along the trunk.
 //!
 //! This engine exists (a) as a second, independently derived implementation
 //! to cross-check the Dewey-based engines against, and (b) to benchmark the

@@ -4,7 +4,7 @@
 //! sequence of components on the path from the root. Components are chosen
 //! so that `component mod |CT(parent label)|` equals the index of the node's
 //! label within the parent's child alphabet — which is exactly what lets the
-//! [`Fst`](crate::Fst) decode a code back into a label-path. Components also
+//! [`Fst`] decode a code back into a label-path. Components also
 //! increase strictly across siblings, so lexicographic code order is document
 //! order, the property the holistic joins rely on.
 

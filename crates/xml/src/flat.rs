@@ -1,9 +1,9 @@
 //! Flat, byte-comparable form of extended Dewey codes.
 //!
-//! [`DeweyCode`](crate::DeweyCode) stores one `u32` per component; every
-//! ancestor/ordering check walks components. This module packs a code into
-//! one contiguous byte slice whose plain byte comparison reproduces the
-//! component semantics exactly:
+//! [`DeweyCode`] stores one `u32` per component; every ancestor/ordering
+//! check walks components. This module packs a code into one contiguous
+//! byte slice whose plain byte comparison reproduces the component
+//! semantics exactly:
 //!
 //! * **byte order ⇔ component order** — each component is written as an
 //!   *order-preserving, prefix-free* varint (class tag in the high bits of
@@ -258,6 +258,17 @@ impl FlatCodes {
     /// Fresh empty arena.
     pub fn new() -> FlatCodes {
         FlatCodes::default()
+    }
+
+    /// Empty arena with room for `codes` codes of `bytes` encoded bytes
+    /// in total, so that filling it exactly allocates nothing more.
+    pub fn with_capacity(codes: usize, bytes: usize) -> FlatCodes {
+        let mut offsets = Vec::with_capacity(codes + 1);
+        offsets.push(0);
+        FlatCodes {
+            bytes: Vec::with_capacity(bytes),
+            offsets,
+        }
     }
 
     /// Number of codes stored.

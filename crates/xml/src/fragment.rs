@@ -7,13 +7,17 @@
 //! without touching the base document (Section V of the paper).
 //!
 //! Storage layout: the subtree copies are immutable [`XmlTree`]s behind
-//! [`Arc`]s (struct-of-arrays inside each tree), and the root codes live
-//! front-coded in a [`PackedCodes`] arena, sorted in document order and in
-//! lockstep with the tree list. Materialization is **streaming**: each
-//! candidate root's full storage footprint is read from the document's
-//! footprint column ([`Document::subtree_footprint`]) *before* any subtree
-//! is copied, so sizing costs O(1) per root and a fragment the budget
-//! rejects is never walked or extracted at all.
+//! [`Arc`]s (struct-of-arrays inside each tree), and the root codes live in
+//! one exact-size [`FlatCodes`] arena, sorted in document order and in
+//! lockstep with the tree list. Readers (the holistic join's refinement,
+//! global-code translation, code lookups) borrow a root code straight out
+//! of the arena as a byte slice.
+//!
+//! Materialization is **streaming**: each candidate root's full storage
+//! footprint is read from the document's footprint column
+//! ([`Document::subtree_footprint`]) *before* any subtree is copied, so
+//! sizing costs O(1) per root and a fragment the budget rejects is never
+//! walked or extracted at all.
 //!
 //! Views over one document overlap: the same subtree is the answer of many
 //! of them. A [`SubtreeMemo`] passed across materializations lets each
@@ -26,20 +30,19 @@ use std::collections::HashMap;
 use std::sync::{Arc, Weak};
 
 use crate::dewey::DeweyCode;
-use crate::flat::{decode_code, encode_code, encode_components, flat_cmp};
-use crate::packed::PackedCodes;
+use crate::flat::{components, decode_code, encode_code, flat_cmp, FlatCodes};
 use crate::tree::{Document, NodeId, XmlTree};
 
 /// Fixed per-node tree storage: the five `u32` columns of
-/// [`XmlTree`](crate::XmlTree)'s struct-of-arrays layout.
+/// [`XmlTree`]'s struct-of-arrays layout.
 pub const NODE_BYTES: usize = 20;
 
 /// Per-node charge for the local extended-Dewey component the engine
 /// assigns to every fragment tree (`MaterializedView::local_dewey`).
 pub const LOCAL_DEWEY_BYTES: usize = 4;
 
-/// Per-fragment slack for the packed code arena's entry headers, restart
-/// offsets, and tail buffer (a few bytes each, amortized).
+/// Per-fragment slack for the code arena: the fragment's 4-byte offset
+/// entry, with room to spare.
 pub const FRAGMENT_SLACK_BYTES: usize = 8;
 
 /// Full storage footprint the fragment rooted at `node` *would* occupy if
@@ -48,9 +51,15 @@ pub const FRAGMENT_SLACK_BYTES: usize = 8;
 /// (one read of [`Document::subtree_footprint`]), the encoded root code,
 /// and the arena slack.
 pub fn fragment_footprint(doc: &Document, node: NodeId) -> usize {
-    doc.subtree_footprint(node)
-        + encode_code(&doc.dewey.code_of(&doc.tree, node)).len()
-        + FRAGMENT_SLACK_BYTES
+    let code = encode_code(&doc.dewey.code_of(&doc.tree, node));
+    fragment_charge(doc.subtree_footprint(node), &code)
+}
+
+/// What the budget charges one fragment: its tree footprint (tree heap
+/// plus [`LOCAL_DEWEY_BYTES`] per node, as [`Document::subtree_footprint`]
+/// reads it), its encoded root code, and [`FRAGMENT_SLACK_BYTES`].
+fn fragment_charge(tree_footprint: usize, code: &[u8]) -> usize {
+    tree_footprint + code.len() + FRAGMENT_SLACK_BYTES
 }
 
 /// What [`FragmentSet::materialize_with_stats`] did: how many candidate
@@ -110,18 +119,17 @@ impl SubtreeMemo {
 }
 
 /// All fragments of one materialized view, sorted by root code (document
-/// order): shared subtree trees plus a front-coded arena of their root
-/// codes.
+/// order): shared subtree trees plus one flat arena of their root codes.
 #[derive(Clone, Debug, Default)]
 pub struct FragmentSet {
     /// Fragment trees, in ascending root-code order. Immutable once built,
     /// and shared with every other set materialized through the same
     /// [`SubtreeMemo`] that admitted the same root.
     trees: Vec<Arc<XmlTree>>,
-    /// Root codes, front-coded, in lockstep with `trees`. The rewriting
-    /// stage's holistic join gallops over this arena (restart points keep
-    /// the exponential-probe primitive intact).
-    packed: PackedCodes,
+    /// Root codes, strictly ascending, in lockstep with `trees`. Built at
+    /// its exact size. The rewriting stage slices refined code lists and
+    /// global codes out of it; lookups binary-search it.
+    codes: FlatCodes,
     total_bytes: usize,
     /// True when materialization stopped early because of the size budget.
     truncated: bool,
@@ -180,7 +188,7 @@ impl FragmentSet {
         let mut truncated = false;
         for &r in roots {
             let code = encode_code(&doc.dewey.code_of(&doc.tree, r));
-            let sz = doc.subtree_footprint(r) + code.len() + FRAGMENT_SLACK_BYTES;
+            let sz = fragment_charge(doc.subtree_footprint(r), &code);
             if total_bytes + sz > byte_budget {
                 truncated = true;
                 stats.rejected += 1;
@@ -190,44 +198,48 @@ impl FragmentSet {
             admitted.push((code, r));
             stats.admitted += 1;
         }
-        // Sort by code first (byte order = document order), then extract:
-        // the packed arena is append-only and must be built in order.
+        // Sort by code (byte order = document order), then extract in
+        // that order, so the arena and the tree list stay in lockstep.
         admitted.sort_by(|a, b| flat_cmp(&a.0, &b.0));
-        let mut set = FragmentSet {
-            trees: Vec::with_capacity(admitted.len()),
-            packed: PackedCodes::new(),
+        let set = FragmentSet {
+            codes: exact_arena(&admitted),
+            trees: admitted
+                .iter()
+                .map(|&(_, r)| memo.tree(doc, r, &mut stats))
+                .collect(),
             total_bytes,
             truncated,
         };
-        for (code, r) in &admitted {
-            set.packed.push(code);
-            set.trees.push(memo.tree(doc, *r, &mut stats));
-        }
         (set, stats)
     }
 
     /// Assemble a set from externally produced parts (e.g. loaded from
     /// disk); fragments are sorted by code and footprints recomputed from
-    /// the trees themselves.
-    pub fn from_parts(codes: Vec<DeweyCode>, trees: Vec<XmlTree>, truncated: bool) -> FragmentSet {
+    /// the trees themselves. `Err` names a root code listed twice: the
+    /// arena must be strictly sorted for lookups and the join to hold.
+    pub fn from_parts(
+        codes: Vec<DeweyCode>,
+        trees: Vec<XmlTree>,
+        truncated: bool,
+    ) -> Result<FragmentSet, DeweyCode> {
         assert_eq!(codes.len(), trees.len());
         let mut pairs: Vec<(Vec<u8>, XmlTree)> = codes.iter().map(encode_code).zip(trees).collect();
         pairs.sort_by(|a, b| flat_cmp(&a.0, &b.0));
-        let mut set = FragmentSet {
-            trees: Vec::with_capacity(pairs.len()),
-            packed: PackedCodes::new(),
-            total_bytes: 0,
-            truncated,
-        };
-        for (code, tree) in pairs {
-            set.total_bytes += tree.heap_size()
-                + tree.len() * LOCAL_DEWEY_BYTES
-                + code.len()
-                + FRAGMENT_SLACK_BYTES;
-            set.packed.push(&code);
-            set.trees.push(Arc::new(tree));
+        if let Some(w) = pairs.windows(2).find(|w| w[0].0 == w[1].0) {
+            return Err(decode_code(&w[0].0).expect("encoded from a DeweyCode"));
         }
-        set
+        let total_bytes = pairs
+            .iter()
+            .map(|(code, tree)| {
+                fragment_charge(tree.heap_size() + tree.len() * LOCAL_DEWEY_BYTES, code)
+            })
+            .sum();
+        Ok(FragmentSet {
+            codes: exact_arena(&pairs),
+            trees: pairs.into_iter().map(|(_, tree)| Arc::new(tree)).collect(),
+            total_bytes,
+            truncated,
+        })
     }
 
     /// Number of fragments.
@@ -242,6 +254,8 @@ impl FragmentSet {
 
     /// Full storage footprint in bytes across fragments: tree heaps,
     /// per-node local Dewey components, and the code arena (with slack).
+    /// For a non-empty set this covers the arena's actual heap, which is
+    /// built at its exact size.
     pub fn total_bytes(&self) -> usize {
         self.total_bytes
     }
@@ -261,17 +275,14 @@ impl FragmentSet {
         &self.trees[i]
     }
 
-    /// Root code of fragment `i`, decoded (costs one bounded block decode
-    /// in the packed arena plus the component decode).
+    /// Root code of fragment `i`, decoded out of the arena.
     pub fn code(&self, i: usize) -> DeweyCode {
-        decode_code(&self.packed.get(i)).expect("packed arena holds only canonical codes")
+        decode(self.codes.get(i))
     }
 
-    /// Root codes in document order (sequential decode, O(1) amortized).
-    pub fn codes(&self) -> Codes<'_> {
-        Codes {
-            cursor: self.packed.cursor(),
-        }
+    /// Root codes in document order, decoded.
+    pub fn codes(&self) -> impl Iterator<Item = DeweyCode> + '_ {
+        self.codes.iter().map(decode)
     }
 
     /// `(root code, fragment tree)` pairs in document order.
@@ -279,71 +290,42 @@ impl FragmentSet {
         self.codes().zip(self.trees.iter().map(|t| &**t))
     }
 
+    /// Root codes in byte-comparable flat form: strictly ascending, in
+    /// lockstep with [`FragmentSet::trees`].
+    pub fn flat_codes(&self) -> &FlatCodes {
+        &self.codes
+    }
+
     /// Index of the fragment rooted at exactly `code`, if any.
     pub fn index_of_code(&self, code: &DeweyCode) -> Option<usize> {
-        self.packed.binary_search(&encode_code(code)).ok()
+        self.codes.binary_search(&encode_code(code)).ok()
     }
 
     /// True when some fragment's tree contains the node at `code`: a
     /// fragment is rooted at `code` or at one of its ancestors. One
-    /// arena search per prefix of `code`.
+    /// arena search per prefix of `code`; each prefix of the encoded code
+    /// is the encoded code of that ancestor.
     pub fn contains_node(&self, code: &DeweyCode) -> bool {
-        let comps = code.components();
-        (1..=comps.len()).any(|k| {
-            self.packed
-                .binary_search(&encode_components(&comps[..k]))
-                .is_ok()
-        })
-    }
-
-    /// Root codes in front-coded byte-comparable form (ascending, in
-    /// lockstep with [`FragmentSet::trees`]).
-    pub fn packed_codes(&self) -> &PackedCodes {
-        &self.packed
-    }
-
-    /// Retain only fragments whose index passes `keep`; preserves order
-    /// and recomputes the footprint over the survivors.
-    pub fn retain_indices(&mut self, keep: &[bool]) {
-        debug_assert_eq!(keep.len(), self.trees.len());
-        let mut packed = PackedCodes::new();
-        let mut total_bytes = 0usize;
-        let mut cur = self.packed.cursor();
-        let mut i = 0usize;
-        while let Some(code) = cur.advance() {
-            if keep[i] {
-                packed.push(code);
-                total_bytes += self.trees[i].heap_size()
-                    + self.trees[i].len() * LOCAL_DEWEY_BYTES
-                    + code.len()
-                    + FRAGMENT_SLACK_BYTES;
-            }
-            i += 1;
-        }
-        let mut j = 0usize;
-        self.trees.retain(|_| {
-            let k = keep[j];
-            j += 1;
-            k
-        });
-        self.packed = packed;
-        self.total_bytes = total_bytes;
+        let bytes = encode_code(code);
+        components(&bytes).any(|(_, end)| self.codes.binary_search(&bytes[..end]).is_ok())
     }
 }
 
-/// Iterator over a set's root codes; see [`FragmentSet::codes`].
-pub struct Codes<'a> {
-    cursor: crate::packed::Cursor<'a>,
+/// Decode a root code the arena holds (always canonical: it was encoded
+/// from a [`DeweyCode`]).
+fn decode(bytes: &[u8]) -> DeweyCode {
+    decode_code(bytes).expect("the code arena holds only canonical codes")
 }
 
-impl Iterator for Codes<'_> {
-    type Item = DeweyCode;
-
-    fn next(&mut self) -> Option<DeweyCode> {
-        self.cursor
-            .advance()
-            .map(|bytes| decode_code(bytes).expect("packed arena holds only canonical codes"))
+/// The codes of sorted `(code, _)` pairs in an arena of exactly their
+/// size, so that its heap is what [`FragmentSet::total_bytes`] charges.
+fn exact_arena<T>(pairs: &[(Vec<u8>, T)]) -> FlatCodes {
+    let bytes = pairs.iter().map(|(code, _)| code.len()).sum();
+    let mut arena = FlatCodes::with_capacity(pairs.len(), bytes);
+    for (code, _) in pairs {
+        arena.push_encoded(code);
     }
+    arena
 }
 
 #[cfg(test)]
@@ -413,7 +395,7 @@ mod tests {
     }
 
     /// Regression (footprint accounting): the reported total must cover
-    /// every backing buffer — tree heaps, the packed code arena, and the
+    /// every backing buffer — tree heaps, the code arena, and the
     /// per-node local-Dewey provision — not just the serialized text size.
     #[test]
     fn size_bytes_covers_all_backing_buffers() {
@@ -431,7 +413,7 @@ mod tests {
             .iter()
             .map(|t| t.len() * LOCAL_DEWEY_BYTES)
             .sum();
-        let backing = tree_heap + local_dewey + set.packed_codes().heap_size();
+        let backing = tree_heap + local_dewey + set.flat_codes().heap_size();
         assert!(
             set.total_bytes() >= backing,
             "total_bytes {} undercounts backing buffers {}",
@@ -500,7 +482,7 @@ mod tests {
         for w in codes.windows(2) {
             assert!(w[0] < w[1]);
         }
-        assert!(set.packed_codes().is_strictly_sorted());
+        assert!(set.flat_codes().is_strictly_sorted());
     }
 
     #[test]
@@ -522,13 +504,13 @@ mod tests {
     }
 
     #[test]
-    fn packed_arena_tracks_fragments() {
+    fn code_arena_tracks_fragments() {
         let doc = book_document();
         let roots = p_nodes(&doc);
-        let mut set = FragmentSet::materialize(&doc, &roots, usize::MAX);
+        let set = FragmentSet::materialize(&doc, &roots, usize::MAX);
         let check = |set: &FragmentSet| {
-            assert_eq!(set.packed_codes().len(), set.len());
-            assert!(set.packed_codes().is_strictly_sorted());
+            assert_eq!(set.flat_codes().len(), set.len());
+            assert!(set.flat_codes().is_strictly_sorted());
             for (i, code) in set.codes().enumerate() {
                 assert_eq!(set.code(i), code);
                 assert_eq!(set.index_of_code(&code), Some(i));
@@ -536,17 +518,22 @@ mod tests {
             assert_eq!(set.entries().count(), set.len());
         };
         check(&set);
-        // Mutators keep the arena in lockstep and re-account the total.
-        let before = set.total_bytes();
-        let keep: Vec<bool> = (0..set.len()).map(|i| i % 2 == 0).collect();
-        set.retain_indices(&keep);
-        check(&set);
-        assert_eq!(set.len(), 4);
-        assert!(set.total_bytes() < before);
-        let trees = set.trees().iter().map(|t| XmlTree::clone(t)).collect();
-        let rebuilt = FragmentSet::from_parts(set.codes().collect(), trees, false);
+        // Reassembled from its parts in reverse, the set is the same.
+        let mut codes: Vec<DeweyCode> = set.codes().collect();
+        let mut trees: Vec<XmlTree> = set.trees().iter().map(|t| XmlTree::clone(t)).collect();
+        codes.reverse();
+        trees.reverse();
+        let rebuilt = FragmentSet::from_parts(codes.clone(), trees.clone(), false).unwrap();
         check(&rebuilt);
+        assert_eq!(rebuilt.flat_codes(), set.flat_codes());
         assert_eq!(rebuilt.total_bytes(), set.total_bytes());
+        // A root code listed twice is refused, and named.
+        codes.push(codes[2].clone());
+        trees.push(trees[2].clone());
+        assert_eq!(
+            FragmentSet::from_parts(codes.clone(), trees, false).unwrap_err(),
+            codes[2]
+        );
     }
 
     /// Two overlapping views through one memo: the second shares every

@@ -27,7 +27,6 @@ pub mod fst;
 pub mod generator;
 pub mod index;
 pub mod label;
-pub mod packed;
 pub mod parser;
 pub mod region;
 pub mod samples;
@@ -42,7 +41,6 @@ pub use fragment::{fragment_footprint, FragmentSet, MaterializeStats, SubtreeMem
 pub use fst::Fst;
 pub use index::{NodeIndex, PathIndex};
 pub use label::{Label, LabelTable};
-pub use packed::PackedCodes;
 pub use parser::parse_document;
 pub use region::{Region, RegionEncoding};
 pub use serializer::serialize;

@@ -4,7 +4,9 @@
 use proptest::prelude::*;
 
 use xvr_xml::serializer::{serialize, serialize_pretty};
-use xvr_xml::{parse_document, CodeStability, Document, LabelTable, XmlTree};
+use xvr_xml::{
+    parse_document, CodeStability, DeweyCode, Document, FragmentSet, LabelTable, NodeId, XmlTree,
+};
 
 /// A random tree over a small alphabet, as a recursive shape description.
 #[derive(Debug, Clone)]
@@ -148,6 +150,51 @@ proptest! {
         let (_, stability) = doc.append_subtree(deep, &sub);
         prop_assert_eq!(stability, CodeStability::Reencoded);
         check_footprints(&doc)?;
+    }
+
+    /// A view's fragment code arena against the roots it admitted, over
+    /// random documents and budgets: strictly sorted, decoding to the
+    /// admitted roots' codes in document order, and answering
+    /// `index_of_code` and `contains_node` for every node of the document
+    /// as a linear scan over the admitted roots does, with `total_bytes`
+    /// covering every buffer the set holds.
+    #[test]
+    fn fragment_code_lookups_match_linear_scan(
+        s in shape(),
+        label in 0u8..5,
+        budget in prop::option::of(0usize..2048),
+    ) {
+        use xvr_xml::fragment::LOCAL_DEWEY_BYTES;
+        let (labels, tree) = build(&s);
+        let doc = Document::from_tree(labels, tree);
+        let l = doc.labels.get(["a", "b", "c", "d", "e"][label as usize]).unwrap();
+        let roots: Vec<NodeId> = doc.tree.iter().filter(|&n| doc.tree.label(n) == l).collect();
+        let set = FragmentSet::materialize(&doc, &roots, budget.unwrap_or(usize::MAX));
+        prop_assert!(set.flat_codes().is_strictly_sorted());
+        // Admission stops at the first refusal, so it keeps a prefix of
+        // the roots, which are in document order.
+        let admitted = &roots[..set.len()];
+        let codes: Vec<DeweyCode> = admitted
+            .iter()
+            .map(|&r| doc.dewey.code_of(&doc.tree, r))
+            .collect();
+        prop_assert_eq!(set.codes().collect::<Vec<_>>(), codes.clone());
+        // The budget's charge covers every buffer the set holds, the
+        // exact-size arena included.
+        if !set.is_empty() {
+            let trees: usize = set
+                .trees()
+                .iter()
+                .map(|t| t.heap_size() + t.len() * LOCAL_DEWEY_BYTES)
+                .sum();
+            prop_assert!(set.total_bytes() >= trees + set.flat_codes().heap_size());
+        }
+        for n in doc.tree.iter() {
+            let code = doc.dewey.code_of(&doc.tree, n);
+            prop_assert_eq!(set.index_of_code(&code), codes.iter().position(|c| *c == code));
+            let inside = admitted.iter().any(|&r| doc.tree.is_ancestor_or_self(r, n));
+            prop_assert_eq!(set.contains_node(&code), inside, "node {}", code);
+        }
     }
 }
 
