@@ -5,8 +5,11 @@
 //!    on a pre-built (query, selection, store) pipeline, isolating the
 //!    refinement + join + extraction stage. A sibling **join** section
 //!    pits the legacy scan-merge join (`rewrite_scan`) against the
-//!    galloping flat-code join on the same pipelines, reporting both
-//!    wall-clock and the comparison/probe/skip counters.
+//!    uncached flat-code rewrite on the same pipelines, reporting both
+//!    wall-clock and the comparison/probe/skip counters, plus each
+//!    selection's unit count and which plan ran: one-unit selections take
+//!    the chain plan (`fast_path`), the others the galloping holistic join
+//!    (`holistic_joins`).
 //! 2. **answer_single** — end-to-end `EngineSnapshot::query` (filter +
 //!    selection + rewrite) with the cache on vs.
 //!    `QueryOptions::with_cache(false)`.
@@ -18,7 +21,8 @@
 //!    in the JSON).
 //!
 //! Results are printed and written as JSON (for CI artifacts and the
-//! committed baseline) to `BENCH_rewrite.json` at the repo root; override
+//! committed baseline), with the host they were measured on
+//! ([`xvr_bench::host_json`]), to `BENCH_rewrite.json` at the repo root; override
 //! with `XVR_BENCH_OUT`. `XVR_BENCH_FAST=1` shrinks the document, the
 //! view set, and the sample counts for smoke runs. `XVR_BENCH_SCALE` and
 //! `XVR_BENCH_VIEWS` override the workload size.
@@ -169,12 +173,14 @@ fn main() {
         pipelines.push((tq.name.to_string(), q, sel));
     }
 
-    // --- 1b. join: legacy scan-merge join vs galloping flat-code join, ---
+    // --- 1b. join: legacy scan-merge join vs the flat-code rewrite, -----
     // both uncached, on the identical (query, selection) pipelines. One
     // metered pass each records how much work the joins actually did: the
     // scan join reports Dewey comparisons (binary searches costed as
-    // log2(len) + 1), the galloping join reports comparisons plus its
-    // probe/skip/bytes counters.
+    // log2(len) + 1), the flat-code rewrite reports comparisons plus its
+    // probe/skip/bytes counters and which plan ran. A one-unit selection
+    // takes the chain plan, which compares each code once with its
+    // predecessor and never gallops.
     let mut join_rows = Vec::new();
     for (name, q, sel) in &pipelines {
         let scan_ns = bench_ns(samples, || {
@@ -192,8 +198,9 @@ fn main() {
             gallop_c.get(Counter::RewriteDeweyComparisons),
         );
         println!(
-            "join/{:<34} scan {:>10} ({scan_cmp} cmp) | gallop {:>10} ({gallop_cmp} cmp, {} probes, {} skipped) | {:.2}x",
+            "join/{:<34} {} unit(s) | scan {:>10} ({scan_cmp} cmp) | gallop {:>10} ({gallop_cmp} cmp, {} probes, {} skipped) | {:.2}x",
             name,
+            sel.units.len(),
             fmt_ns(scan_ns),
             fmt_ns(gallop_ns),
             gallop_c.get(Counter::RewriteGallopProbes),
@@ -201,9 +208,13 @@ fn main() {
             scan_ns / gallop_ns,
         );
         join_rows.push(format!(
-            "{{\"name\": \"{name}\", \"scan_ns\": {scan_ns:.0}, \"gallop_ns\": {gallop_ns:.0}, \
+            "{{\"name\": \"{name}\", \"units\": {}, \"fast_path\": {}, \"holistic_joins\": {}, \
+             \"scan_ns\": {scan_ns:.0}, \"gallop_ns\": {gallop_ns:.0}, \
              \"speedup\": {:.2}, \"scan_comparisons\": {scan_cmp}, \"gallop_comparisons\": {gallop_cmp}, \
              \"gallop_probes\": {}, \"comparisons_skipped\": {}, \"bytes_compared\": {}}}",
+            sel.units.len(),
+            gallop_c.get(Counter::RewriteFastPath),
+            gallop_c.get(Counter::RewriteHolisticJoins),
             scan_ns / gallop_ns,
             gallop_c.get(Counter::RewriteGallopProbes),
             gallop_c.get(Counter::RewriteComparisonsSkipped),
@@ -433,8 +444,9 @@ fn main() {
     );
     write!(
         json,
-        "{{\n  \"benchmark\": \"rewrite_hotpath\",\n  \"mode\": \"{}\",\n  \"doc\": {{\"scale\": {scale}, \"nodes\": {}}},\n  \"views\": {},\n  \"strategy\": \"HV\",\n  \"results\": {{\n    \"rewrite_only\": [\n      {}\n    ],\n    \"join\": [\n      {}\n    ],\n    \"answer_single\": [\n      {}\n    ],\n    \"answer_batch\": {{\"queries\": {}, \"jobs\": {jobs}, \"uncached_qps\": {uncached_qps:.0}, \"cached_qps\": {cached_qps:.0}, \"speedup\": {batch_speedup:.2}, \"stage_breakdown\": {}}},\n    \"coverage\": [\n      {}\n    ]\n  }}\n}}\n",
+        "{{\n  \"benchmark\": \"rewrite_hotpath\",\n  \"mode\": \"{}\",\n  \"host\": {},\n  \"doc\": {{\"scale\": {scale}, \"nodes\": {}}},\n  \"views\": {},\n  \"strategy\": \"HV\",\n  \"results\": {{\n    \"rewrite_only\": [\n      {}\n    ],\n    \"join\": [\n      {}\n    ],\n    \"answer_single\": [\n      {}\n    ],\n    \"answer_batch\": {{\"queries\": {}, \"jobs\": {jobs}, \"uncached_qps\": {uncached_qps:.0}, \"cached_qps\": {cached_qps:.0}, \"speedup\": {batch_speedup:.2}, \"stage_breakdown\": {}}},\n    \"coverage\": [\n      {}\n    ]\n  }}\n}}\n",
         if fast { "fast" } else { "full" },
+        xvr_bench::host_json(),
         stats.nodes,
         views.len(),
         join(&rewrite_only),

@@ -31,9 +31,10 @@
 //!     to the uncached reference rewriter for every view strategy, with
 //!     the same trace (usable views, units, anchor)
 //!     ([`Invariant::CacheDeterminism`]).
-//!   - Join equivalence: the galloping flat-code holistic join must be
-//!     byte-identical to the legacy scan-merge join on the same selection
-//!     ([`Invariant::JoinEquivalence`]).
+//!   - Join equivalence: the galloping flat-code rewrite — the holistic
+//!     join, or the chain plan for one unit — must be byte-identical to
+//!     the legacy scan-merge join on the same selection, on the cached
+//!     and the uncached path ([`Invariant::JoinEquivalence`]).
 //!   - Intersection soundness: every code an `HvIntersect` answer emits
 //!     must appear in the `Bn` ground truth — the multi-way intersect
 //!     join may only narrow, never invent
@@ -107,8 +108,8 @@ pub enum Invariant {
     JobsDeterminism,
     /// The cached rewrite path disagrees with the uncached reference.
     CacheDeterminism,
-    /// The galloping flat-code join disagrees with the legacy scan-merge
-    /// join on the same selection.
+    /// The galloping flat-code rewrite, cached or uncached, disagrees with
+    /// the legacy scan-merge join on the same selection.
     JoinEquivalence,
     /// An `HvIntersect` answer contained a code absent from the `Bn`
     /// ground truth: the intersect join invented an answer.
@@ -899,6 +900,7 @@ fn check_query(
         // trace (usable views, units, anchor). Checked against the
         // pre-injection result, on purpose: injections model pipeline bugs
         // and should trip only their own invariant.
+        let mut uncached_answer = None;
         if !matches!(s, Strategy::Bf) {
             let uncached = snap.query(q, &QueryOptions::strategy(s).with_cache(false).with_trace());
             let uncached_trace = uncached.report.and_then(|r| r.trace).unwrap_or_default();
@@ -920,9 +922,11 @@ fn check_query(
                     ),
                 ));
             }
+            uncached_answer = Some(uncached.answer);
         }
-        // Join equivalence: the galloping flat-code join must agree with
-        // the legacy scan-merge join on the same selection. Checked on one
+        // Join equivalence: the galloping flat-code join (or, for one
+        // unit, the chain plan) must agree with the legacy scan-merge join
+        // on the same selection, cached and uncached. Checked on one
         // strategy (the joins are selection-level, not strategy-level) and
         // pre-injection, like CacheDeterminism.
         if s == Strategy::Hv {
@@ -934,24 +938,31 @@ fn check_query(
                     snap.store(),
                     &snap.doc().fst,
                 );
-                let same = match (&result, &scan) {
-                    (Ok(a), Ok(b)) => &a.codes == b,
-                    (Err(AnswerError::Rewrite(a)), Err(b)) => a == b,
-                    _ => false,
-                };
-                if !same {
-                    out.violations.push(fail(
-                        Invariant::JoinEquivalence,
-                        Some(s),
-                        format!(
-                            "galloping join ({}) disagrees with scan join ({})",
-                            describe(&result),
-                            match &scan {
-                                Ok(codes) => format!("{} codes", codes.len()),
-                                Err(e) => format!("error: {e}"),
-                            }
-                        ),
-                    ));
+                let paths = [
+                    ("cached", Some(&result)),
+                    ("uncached", uncached_answer.as_ref()),
+                ];
+                for (path, answer) in paths {
+                    let Some(answer) = answer else { continue };
+                    let same = match (answer, &scan) {
+                        (Ok(a), Ok(b)) => &a.codes == b,
+                        (Err(AnswerError::Rewrite(a)), Err(b)) => a == b,
+                        _ => false,
+                    };
+                    if !same {
+                        out.violations.push(fail(
+                            Invariant::JoinEquivalence,
+                            Some(s),
+                            format!(
+                                "{path} galloping join ({}) disagrees with scan join ({})",
+                                describe(answer),
+                                match &scan {
+                                    Ok(codes) => format!("{} codes", codes.len()),
+                                    Err(e) => format!("error: {e}"),
+                                }
+                            ),
+                        ));
+                    }
                 }
             }
         }

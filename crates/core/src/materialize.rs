@@ -27,7 +27,6 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 use xvr_pattern::eval_bn;
-use xvr_xml::flat::components;
 use xvr_xml::{DeweyAssignment, DeweyCode, Document, FragmentSet, NodeIndex, SubtreeMemo, XmlTree};
 
 use crate::view::{ViewId, ViewSet};
@@ -68,15 +67,13 @@ impl MaterializedView {
     }
 
     /// Global code of `node` inside fragment `frag_idx`: the fragment
-    /// root's code, read out of the code arena, extended with the node's
-    /// local components below the root.
+    /// root's code, read out of the code arena, with the node's local
+    /// components below the root appended straight after it — one
+    /// exact-size allocation.
     pub fn global_code(&self, frag_idx: usize, node: xvr_xml::NodeId) -> DeweyCode {
         let tree = self.fragments.tree(frag_idx);
-        let local = self.local_dewey[frag_idx].code_of(tree, node);
         let root = self.fragments.flat_codes().get(frag_idx);
-        let mut comps: Vec<u32> = components(root).map(|(c, _)| c).collect();
-        comps.extend_from_slice(&local.components()[1..]);
-        DeweyCode(comps)
+        self.local_dewey[frag_idx].code_under(tree, node, root)
     }
 
     /// Index of the fragment rooted at `code`, if any.
@@ -381,10 +378,18 @@ mod tests {
         let store = MaterializedStore::materialize_all(&doc, &set, usize::MAX);
         let mv = store.get(v).unwrap();
         // Every fragment-internal node's global code must decode to its
-        // label path within the original document.
+        // label path within the original document, and be the fragment
+        // root's components followed by the local code without its first
+        // component.
         for (i, tree) in mv.fragments.trees().iter().enumerate() {
+            let root = mv.fragments.code(i);
             for n in tree.iter() {
                 let g = mv.global_code(i, n);
+                let local = mv.local_dewey[i].code_of(tree, n);
+                let mut want = root.components().to_vec();
+                want.extend_from_slice(&local.components()[1..]);
+                assert_eq!(g.components(), &want[..]);
+                assert_eq!(g.0.capacity(), g.len(), "one exact-size allocation");
                 let decoded = doc.fst.decode(g.components()).unwrap();
                 let local_path = tree.label_path(n);
                 assert_eq!(

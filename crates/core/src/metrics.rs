@@ -72,15 +72,15 @@ pub enum Counter {
     RewriteCacheEvictions,
     /// Materialized fragments scanned during refinement.
     RewriteFragmentsScanned,
-    /// Single-unit fast-path rewrites (chain matching, no holistic join).
+    /// Single-unit rewrites on the chain plan (no prefix tree, no
+    /// holistic join), cached or not.
     RewriteFastPath,
     /// Holistic joins over the code prefix tree.
     RewriteHolisticJoins,
     /// Dewey code comparisons actually performed: flat byte-comparable
-    /// code compares in the galloping join and extraction, plus chain
-    /// matching on cold fast-path verdicts (counted as decoded-path
-    /// length × chain length). Memoized join state legitimately records
-    /// none on warm repeats.
+    /// code compares in the galloping join and extraction, plus one
+    /// common-prefix compare per code in a chain-verdict pass. Memoized
+    /// join state legitimately records none on warm repeats.
     RewriteDeweyComparisons,
     /// Galloping probes (exponential doubling + window binary search)
     /// issued while merging sorted flat-code lists.
@@ -89,7 +89,8 @@ pub enum Counter {
     /// skipped without comparing.
     RewriteComparisonsSkipped,
     /// Bytes compared across all flat-code comparisons (`min(len)` per
-    /// compare) — the join's memory traffic.
+    /// ordering compare, the bytes read per common-prefix compare) — the
+    /// join's memory traffic.
     RewriteBytesCompared,
     /// Answer codes produced (all strategies, including `Bn`/`Bf`).
     AnswerCodes,

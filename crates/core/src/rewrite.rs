@@ -16,6 +16,10 @@
 //!    prefix tree is an exact fragment of the base document's structure —
 //!    joining there is the paper's "join using the encoding scheme". Unit
 //!    positions `m_i` are restricted to that unit's surviving codes.
+//!    A **single-unit** selection's skeleton is the bare trunk chain
+//!    `root → m`, so it builds no prefix tree: the chain plan matches the
+//!    chain against each surviving code's FST-decoded ancestor labels in
+//!    one ordered pass over the codes (`chain_verdicts`), cached or not.
 //! 3. **Extraction**: the query's answer bindings are read out of the
 //!    anchor unit's fragments (the answer node lies at-or-below the
 //!    anchor's `m`), translated back to global codes.
@@ -86,13 +90,14 @@ impl std::error::Error for RewriteError {}
 /// Rewrite `q` using the selected views; returns the answer codes in
 /// document order.
 ///
-/// This is the uncached path: every call re-refines fragments and rebuilds
-/// the code prefix tree from scratch (the join itself still gallops over
-/// flat codes). The hot path used by [`crate::EngineSnapshot`] is
-/// [`rewrite_cached`]; the two are checked byte-identical by the
-/// determinism tests and the oracle's `CacheDeterminism` invariant, and
-/// both against the legacy scan join ([`rewrite_scan`]) by
-/// `JoinEquivalence`.
+/// This is the uncached path: every call re-refines fragments. A
+/// multi-unit selection rebuilds the code prefix tree of the surviving
+/// codes and gallops over it; a single-unit one runs the chain plan over
+/// the anchor's surviving codes and builds no tree. The hot path used by
+/// [`crate::EngineSnapshot`] is [`rewrite_cached`]; the two are checked
+/// byte-identical by the determinism tests and the oracle's
+/// `CacheDeterminism` invariant, and both against the legacy scan join
+/// ([`rewrite_scan`]) by `JoinEquivalence`.
 pub fn rewrite(
     q: &TreePattern,
     selection: &Selection,
@@ -114,7 +119,10 @@ pub fn rewrite(
 /// [`rewrite`] with a [`RewriteCache`]: refinement results,
 /// code prefix trees, restriction bitmaps, and single-unit chain verdicts
 /// are memoized across calls, so repeated query shapes skip the comparison
-/// work entirely.
+/// work entirely. Both paths run the same plans; the cache only changes
+/// what they recompute. A cached prefix tree covers every fragment code of
+/// the selection's views, and cached chain verdicts cover a view's whole
+/// code arena, so one entry serves every compensating pattern.
 pub fn rewrite_cached(
     q: &TreePattern,
     selection: &Selection,
@@ -135,7 +143,7 @@ pub fn rewrite_cached(
 }
 
 /// [`rewrite`] / [`rewrite_cached`] recording observability counters:
-/// cache hits/misses, fragments scanned during refinement, fast-path vs.
+/// cache hits/misses, fragments scanned during refinement, chain-plan vs.
 /// holistic-join dispatch, and the flat-comparison work — comparisons,
 /// galloping probes, entries skipped, bytes compared (see
 /// [`crate::metrics`]). Pass `cache: None` for the uncached path.
@@ -154,8 +162,8 @@ pub fn rewrite_metered(
 
 /// Anchor-unit refinement: surviving fragment codes (flat, ascending by
 /// code) with, per surviving fragment, the global answer codes extracted
-/// from it and its index within the view's fragment store (the handle the
-/// fast path's chain bitmap is tested with).
+/// from it and its index within the view's fragment store (the handle a
+/// cached chain-verdict bitmap is tested with).
 struct Anchors {
     codes: FlatCodes,
     answers: Vec<Vec<DeweyCode>>,
@@ -433,7 +441,7 @@ impl Clock {
 /// * **Chain verdicts** (`Chain`) — keyed by (materialization, trunk-chain
 ///   fingerprint): a bitmap over the view's fragments recording which
 ///   FST-decoded ancestor paths embed the single-unit trunk chain. Warm
-///   fast-path rewrites reduce to bit probes over the anchor pairs.
+///   single-unit rewrites reduce to bit probes over the anchor pairs.
 ///
 /// All five kinds live in one map bounded by [`REWRITE_CACHE_BYTES`] of
 /// accounted size, evicted by CLOCK: a hit only sets the entry's
@@ -566,34 +574,116 @@ fn superset_tree(
     PrefixTree::build_sorted(all, fst)
 }
 
-/// Which fragments of `mv` have an FST-decoded ancestor path embedding the
-/// trunk chain — the single-unit join verdict.
-fn chain_bits(
+/// The single-unit join verdicts over ascending, distinct flat codes: bit
+/// `i` is set when the trunk chain `root → m` (`chain`, from
+/// [`TreePattern::root_path`]) embeds into the FST-decoded root path of
+/// `codes.get(i)` with its last node on the code's own node.
+///
+/// The codes are walked in order with a stack over the prefix each shares
+/// with the previous one, so a shared ancestor is decoded once. Each new
+/// component costs one [`Fst::step`] and one mask update. Bit `j` of a
+/// depth's mask says chain node `j` can sit there with the chain above it
+/// embedded: a child edge shifts the parent depth's mask, a descendant
+/// edge shifts the OR over every ancestor-or-self depth. Masks span the
+/// whole chain in `u64` words, so no chain length is cut short. Each
+/// code's common-prefix scan is tallied in `stats` as one comparison.
+fn chain_verdicts(
     q: &TreePattern,
     chain: &[PNodeId],
-    mv: &MaterializedView,
+    codes: &FlatCodes,
     fst: &Fst,
-    counters: &mut StageCounters,
+    stats: &mut CmpStats,
 ) -> Result<Vec<u64>, RewriteError> {
-    let mut bits = vec![0u64; mv.fragments.len().div_ceil(64)];
-    let mut comps: Vec<u32> = Vec::new();
-    for (fi, code) in mv.fragments.flat_codes().iter().enumerate() {
-        comps.clear();
-        comps.extend(flat::components(code).map(|(c, _)| c));
-        let path = fst
-            .decode(&comps)
-            .ok_or_else(|| RewriteError::UndecodableCode(mv.fragments.code(fi)))?;
-        // The positional DP walks the decoded ancestor path once per
-        // chain node.
-        counters.add(
-            Counter::RewriteDeweyComparisons,
-            (path.len() * chain.len()) as u64,
-        );
-        if chain_matches(q, chain, &path) {
-            bits[fi / 64] |= 1 << (fi % 64);
-        }
+    let words = chain.len().div_ceil(64);
+    // Chain nodes past the first, by the axis of the edge above them.
+    let mut child = vec![0u64; words];
+    let mut desc = vec![0u64; words];
+    for (j, &n) in chain.iter().enumerate().skip(1) {
+        let edges = match q.axis(n) {
+            Axis::Child => &mut child,
+            Axis::Descendant => &mut desc,
+        };
+        edges[j / 64] |= 1 << (j % 64);
     }
-    Ok(bits)
+    // A `/` first step pins chain node 0 to the document element; a `//`
+    // one lets it sit at any depth.
+    let floating = matches!(q.axis(chain[0]), Axis::Descendant);
+    // Per label met so far, the chain nodes its label test admits.
+    let mut admits: Vec<u64> = Vec::new();
+    let mut admits_known: Vec<bool> = Vec::new();
+    // The current root path, per depth: the code's byte length up to that
+    // node and its label; and in `masks`, `2 * words` per depth, the chain
+    // nodes that can sit there followed by the OR over ancestors-or-self.
+    let mut path: Vec<(usize, Label)> = Vec::new();
+    let mut masks: Vec<u64> = Vec::new();
+    let last = chain.len() - 1;
+    let mut verdicts = vec![0u64; codes.len().div_ceil(64)];
+    let mut prev: &[u8] = &[];
+    for (i, code) in codes.iter().enumerate() {
+        // Pop to the common byte prefix (always a component boundary of
+        // both codes, by the prefix-free encoding).
+        let common = stats.common_prefix(prev, code);
+        while path.last().is_some_and(|&(end, _)| end > common) {
+            path.pop();
+        }
+        masks.truncate(path.len() * 2 * words);
+        let base = path.last().map_or(0, |&(end, _)| end);
+        for (comp, end) in flat::components(&code[base..]) {
+            let label = match path.last() {
+                // The first component addresses the document element
+                // whatever its value, as in `Fst::decode`.
+                None => fst.root_label(),
+                Some(&(_, parent)) => fst
+                    .step(parent, comp)
+                    .ok_or_else(|| RewriteError::UndecodableCode(code_for_err(code)))?,
+            };
+            let li = label.index();
+            if li >= admits_known.len() {
+                admits_known.resize(li + 1, false);
+                admits.resize((li + 1) * words, 0);
+            }
+            if !admits_known[li] {
+                for (j, &n) in chain.iter().enumerate() {
+                    if q.label(n).matches(label) {
+                        admits[li * words + j / 64] |= 1 << (j % 64);
+                    }
+                }
+                admits_known[li] = true;
+            }
+            let admit = &admits[li * words..(li + 1) * words];
+            let at = masks.len();
+            for w in 0..words {
+                let reach = if at == 0 {
+                    u64::from(w == 0)
+                } else {
+                    // Word `w` of a parent mask shifted up one chain node.
+                    let shifted = |from: usize| {
+                        masks[from + w] << 1 | if w > 0 { masks[from + w - 1] >> 63 } else { 0 }
+                    };
+                    let up = at - 2 * words;
+                    shifted(up) & child[w]
+                        | shifted(up + words) & desc[w]
+                        | u64::from(floating && w == 0)
+                };
+                masks.push(admit[w] & reach);
+            }
+            for w in 0..words {
+                let above = if at == 0 { 0 } else { masks[at - words + w] };
+                masks.push(above | masks[at + w]);
+            }
+            path.push((base + end, label));
+        }
+        // Trailing bytes that decode to no component, or no component.
+        if path.last().map(|&(end, _)| end) != Some(code.len()) {
+            return Err(RewriteError::UndecodableCode(code_for_err(code)));
+        }
+        let own = masks.len() - 2 * words;
+        if masks[own + last / 64] >> (last % 64) & 1 == 1 {
+            verdicts[i / 64] |= 1 << (i % 64);
+        }
+        prev = code;
+    }
+    Ok(verdicts)
 }
 
 /// A compensating pattern that constrains nothing beyond its root label:
@@ -672,9 +762,9 @@ fn compute_anchor_pairs(
 
 /// Does the trunk chain `root → m` (as `chain`, from [`TreePattern::root_path`])
 /// embed into the label path `path` with the last chain node bound to the
-/// final position? Equivalent to the holistic join for single-unit
-/// selections: the decoded code path *is* the fragment root's ancestor
-/// chain in the base document.
+/// final position? The positional DP [`chain_verdicts`] is held equal to:
+/// one decoded path at a time, one `Vec` per chain step.
+#[cfg(test)]
 fn chain_matches(q: &TreePattern, chain: &[PNodeId], path: &[Label]) -> bool {
     let n = path.len();
     if n == 0 {
@@ -719,9 +809,9 @@ fn chain_matches(q: &TreePattern, chain: &[PNodeId], path: &[Label]) -> bool {
 }
 
 /// Cache key of a single-unit trunk chain: the fingerprint of the chain
-/// re-rooted as a bare pattern (axes + labels only — `chain_matches` never
-/// reads attributes, so two queries with the same trunk share the verdict
-/// bitmap).
+/// re-rooted as a bare pattern (axes + labels only — [`chain_verdicts`]
+/// never reads attributes, so two queries with the same trunk share the
+/// verdict bitmap).
 fn chain_key(q: &TreePattern, chain: &[PNodeId]) -> Arc<str> {
     let mut p = TreePattern::with_root(q.axis(chain[0]), q.label(chain[0]));
     let mut cur = p.root();
@@ -797,7 +887,6 @@ fn rewrite_gallop(
     // Per unit, its materialization and (with a cache) the compensating
     // fingerprint: the unit's part of every cache key below.
     let mut unit_keys: Vec<(ViewGen, Option<Arc<str>>)> = Vec::with_capacity(selection.units.len());
-    let mut anchor_ref: Option<Arc<Anchors>> = None;
     for (i, unit) in selection.units.iter().enumerate() {
         let mv = store
             .get(unit.view)
@@ -822,8 +911,7 @@ fn rewrite_gallop(
                     ))
                 },
             )?;
-            refined.push(Refined::Anchor(Arc::clone(&pairs)));
-            anchor_ref = Some(pairs);
+            refined.push(Refined::Anchor(pairs));
         } else {
             let codes = memo(
                 keyed.map(|(c, fp)| (c, Key::Refined(vg, fp))),
@@ -834,35 +922,12 @@ fn rewrite_gallop(
         }
         unit_keys.push((vg, fp));
     }
-    let anchors = anchor_ref.expect("selection has an anchor unit");
-
-    // Fast path: a single unit needs no holistic join — the skeleton is
-    // the bare trunk chain, so each surviving fragment passes iff the
-    // chain embeds into its FST-decoded ancestor label path. The verdict
-    // depends only on (view, chain shape), so it is computed once per
-    // view's fragments and memoized as a bitmap; warm repeats are pure
-    // bit probes with zero code comparisons.
-    if let Some(c) = cache {
-        if selection.units.len() == 1 {
-            counters.bump(Counter::RewriteFastPath);
-            let unit = &selection.units[0];
-            let mv = store.get(unit.view).expect("checked above");
-            let chain = q.root_path(unit.cover.m);
-            let bits = memo(
-                Some((c, Key::Chain(unit_keys[0].0, chain_key(q, &chain)))),
-                counters,
-                |counters| chain_bits(q, &chain, mv, fst, counters),
-            )?;
-            let mut out: Vec<DeweyCode> = Vec::new();
-            for (i, &fi) in anchors.frag.iter().enumerate() {
-                if bit(&bits, fi as usize) {
-                    out.extend(anchors.answers[i].iter().cloned());
-                }
-            }
-            out.sort();
-            out.dedup();
-            return Ok(out);
-        }
+    if let [unit] = selection.units.as_slice() {
+        let Some(Refined::Anchor(anchors)) = refined.pop() else {
+            unreachable!("a one-unit selection's unit is its anchor");
+        };
+        let mv = store.get(unit.view).expect("checked above");
+        return rewrite_chain(q, unit.cover.m, mv, fst, cache, anchors, counters, stats);
     }
 
     // Stage 2: join over the code prefix tree.
@@ -926,23 +991,103 @@ fn rewrite_gallop(
         &mut scratch,
     );
 
-    // Stage 3: extract from the anchor's fragments — prefix-tree node ids
-    // ascend in code order, so sorting the anchor bindings turns the
-    // lookup into one forward galloping merge over the anchor pairs.
-    let mut idxs: Vec<usize> = anchor_nodes.iter().map(|n| n.index()).collect();
+    // Stage 3: extract from the anchor's fragments.
+    let Refined::Anchor(anchors) = refined.swap_remove(selection.anchor) else {
+        unreachable!("the anchor unit carries its extraction pairs");
+    };
+    Ok(extract_joined(anchors, &prefix_tree, anchor_nodes, stats))
+}
+
+/// Stage 3 of a prefix-tree join: the answers of the anchor pairs whose
+/// codes the join bound (`nodes`, prefix-tree nodes). Node ids ascend in
+/// code order, so sorting them turns the lookup into one forward
+/// galloping merge over the pairs.
+fn extract_joined(
+    anchors: Arc<Anchors>,
+    tree: &PrefixTree,
+    nodes: Vec<NodeId>,
+    stats: &mut CmpStats,
+) -> Vec<DeweyCode> {
+    let mut idxs: Vec<usize> = nodes.iter().map(|n| n.index()).collect();
     idxs.sort_unstable();
-    let mut out: Vec<DeweyCode> = Vec::new();
+    let mut hits = vec![0u64; anchors.codes.len().div_ceil(64)];
     let mut pos = 0usize;
     for i in idxs {
-        let code = prefix_tree.codes.get(i);
+        let code = tree.codes.get(i);
         pos = anchors.codes.gallop_lower_bound(pos, code, stats);
         if pos < anchors.codes.len() && stats.eq(anchors.codes.get(pos), code) {
-            out.extend(anchors.answers[pos].iter().cloned());
+            hits[pos / 64] |= 1 << (pos % 64);
+        }
+    }
+    extract(anchors, |_, i| bit(&hits, i))
+}
+
+/// The answer codes of the anchor pairs `kept` selects (by pair index,
+/// given the pairs' fragment indices), sorted and deduplicated. They are
+/// moved out when nothing else holds the pairs, as on the uncached path,
+/// and cloned when a cache shares them.
+fn extract(anchors: Arc<Anchors>, kept: impl Fn(&[u32], usize) -> bool) -> Vec<DeweyCode> {
+    let mut out: Vec<DeweyCode> = Vec::new();
+    match Arc::try_unwrap(anchors) {
+        Ok(owned) => {
+            for (i, answers) in owned.answers.into_iter().enumerate() {
+                if kept(&owned.frag, i) {
+                    out.extend(answers);
+                }
+            }
+        }
+        Err(shared) => {
+            for (i, answers) in shared.answers.iter().enumerate() {
+                if kept(&shared.frag, i) {
+                    out.extend(answers.iter().cloned());
+                }
+            }
         }
     }
     out.sort();
     out.dedup();
-    Ok(out)
+    out
+}
+
+/// The single-unit plan: the skeleton is the bare trunk chain `root → m`,
+/// so no prefix tree is built and no holistic join runs. An anchor
+/// fragment's answers survive iff the chain embeds into its root's
+/// FST-decoded ancestor path ([`chain_verdicts`]). Without a cache the
+/// verdicts run over the anchor's surviving codes and the answers are
+/// moved out of the anchor pairs. With one they run over the view's whole
+/// arena, memoized per (materialization, chain shape), so warm repeats
+/// are bit probes over the shared pairs.
+#[allow(clippy::too_many_arguments)]
+fn rewrite_chain(
+    q: &TreePattern,
+    m: PNodeId,
+    mv: &MaterializedView,
+    fst: &Fst,
+    cache: Option<&RewriteCache>,
+    anchors: Arc<Anchors>,
+    counters: &mut StageCounters,
+    stats: &mut CmpStats,
+) -> Result<Vec<DeweyCode>, RewriteError> {
+    counters.bump(Counter::RewriteFastPath);
+    let chain = q.root_path(m);
+    // With a cache the verdicts index the view's fragments, without one
+    // the anchor pairs.
+    let (bits, by_fragment) = match cache {
+        Some(c) => {
+            let key = Key::Chain(view_gen(mv), chain_key(q, &chain));
+            let bits = memo(Some((c, key)), counters, |_| {
+                chain_verdicts(q, &chain, mv.fragments.flat_codes(), fst, stats)
+            })?;
+            (bits, true)
+        }
+        None => (
+            Arc::new(chain_verdicts(q, &chain, &anchors.codes, fst, stats)?),
+            false,
+        ),
+    };
+    Ok(extract(anchors, |frag, i| {
+        bit(&bits, if by_fragment { frag[i] as usize } else { i })
+    }))
 }
 
 /// Intersection rewrite (the `HvIntersect` fallback): every unit of the
@@ -1043,20 +1188,7 @@ pub fn rewrite_intersect_metered(
         let admissible = |s: PNodeId, x: NodeId| -> bool { s != s_answer || bit(&bits, x.index()) };
         let anchor_nodes =
             eval_restricted_in(&skeleton.pattern, &tree.tree, &admissible, &mut scratch);
-        let mut idxs: Vec<usize> = anchor_nodes.iter().map(|n| n.index()).collect();
-        idxs.sort_unstable();
-        let mut out: Vec<DeweyCode> = Vec::new();
-        let mut pos = 0usize;
-        for i in idxs {
-            let code = tree.codes.get(i);
-            pos = anchors.codes.gallop_lower_bound(pos, code, stats);
-            if pos < anchors.codes.len() && stats.eq(anchors.codes.get(pos), code) {
-                out.extend(anchors.answers[pos].iter().cloned());
-            }
-        }
-        out.sort();
-        out.dedup();
-        Ok(out)
+        Ok(extract_joined(anchors, &tree, anchor_nodes, stats))
     })();
     counters.add(Counter::RewriteDeweyComparisons, stats.comparisons);
     counters.add(Counter::RewriteGallopProbes, stats.probes);
@@ -1537,7 +1669,7 @@ mod tests {
     }
 
     /// Join shapes exercised by the differential tests: multi-unit joins,
-    /// single-unit fast path (trivial and non-trivial compensating
+    /// single-unit chain plan (trivial and non-trivial compensating
     /// patterns), wildcard views, anchored answers below the view root.
     const JOIN_CASES: [(&[&str], &str); 6] = [
         (&["//s[t]/p", "//s[p]/f"], "//s[f//i][t]/p"),
@@ -1623,11 +1755,148 @@ mod tests {
         let cache = RewriteCache::new();
         // `/s` never matches (document element is b) even though the `//s`
         // view has fragments everywhere — the chain must pin `/` roots to
-        // position 0 of the decoded path.
+        // position 0 of the decoded path, cached and uncached alike.
         let (q, sel, views, store) = pipeline(&doc, &["//s"], "/s").unwrap();
         let got = rewrite_cached(&q, &sel, &views, &store, &doc.fst, &cache).unwrap();
-        assert_eq!(got, rewrite(&q, &sel, &views, &store, &doc.fst).unwrap());
         assert!(got.is_empty());
+        let mut uncached = StageCounters::new();
+        let got = rewrite_metered(&q, &sel, &views, &store, &doc.fst, None, &mut uncached).unwrap();
+        assert!(got.is_empty());
+        assert_eq!(uncached.get(Counter::RewriteFastPath), 1);
+        assert_eq!(uncached.get(Counter::RewriteHolisticJoins), 0);
+        assert_eq!(uncached.get(Counter::RewriteGallopProbes), 0);
+        // The same view under a `/b`-rooted chain keeps its answers.
+        let (q, sel, views, store) = pipeline(&doc, &["//s"], "/b//s").unwrap();
+        let want = direct_codes(&doc, &q);
+        assert!(!want.is_empty());
+        for got in [
+            rewrite(&q, &sel, &views, &store, &doc.fst).unwrap(),
+            rewrite_cached(&q, &sel, &views, &store, &doc.fst, &cache).unwrap(),
+        ] {
+            let got: Vec<String> = got.iter().map(|c| c.to_string()).collect();
+            assert_eq!(got, want);
+        }
+    }
+
+    /// Every code's verdict in `codes` against the positional DP over its
+    /// FST-decoded path.
+    fn check_verdicts(
+        doc: &Document,
+        q: &TreePattern,
+        chain: &[PNodeId],
+        codes: &FlatCodes,
+    ) -> Result<(), proptest::test_runner::TestCaseError> {
+        let mut stats = CmpStats::default();
+        let verdicts = chain_verdicts(q, chain, codes, &doc.fst, &mut stats).unwrap();
+        proptest::prop_assert_eq!(stats.comparisons, codes.len() as u64);
+        for (i, code) in codes.iter().enumerate() {
+            let comps = flat::decode_components(code).unwrap();
+            let path = doc.fst.decode(&comps).unwrap();
+            proptest::prop_assert_eq!(
+                bit(&verdicts, i),
+                chain_matches(q, chain, &path),
+                "code {:?}",
+                comps
+            );
+        }
+        Ok(())
+    }
+
+    /// A document from a parent draw per node: even draws hang the node
+    /// under the previous one (deep paths), odd ones under any earlier node.
+    fn random_document(nodes: &[(usize, u8)]) -> Document {
+        let mut labels = xvr_xml::LabelTable::new();
+        let names = ["a", "b", "c"].map(|n| labels.intern(n));
+        let mut tree = XmlTree::new();
+        let mut ids = vec![tree.add_root(names[0])];
+        for (k, &(draw, label)) in nodes.iter().enumerate() {
+            let k = k + 1;
+            let parent = if draw % 2 == 0 { k - 1 } else { (draw / 2) % k };
+            ids.push(tree.add_child(ids[parent], names[label as usize % 3]));
+        }
+        Document::from_tree(labels, tree)
+    }
+
+    /// A linear chain pattern from (descendant?, label) steps; label 3 is
+    /// the wildcard.
+    fn chain_source(steps: &[(bool, u8)]) -> String {
+        steps
+            .iter()
+            .map(|&(desc, l)| {
+                let axis = if desc { "//" } else { "/" };
+                format!("{axis}{}", ["a", "b", "c", "*"][l as usize % 4])
+            })
+            .collect()
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(256))]
+
+        /// The incremental chain verdicts equal the positional DP for
+        /// every code: over a view's whole arena (the cached plan) and
+        /// over a refined subset of it (the uncached plan).
+        #[test]
+        fn chain_verdicts_match_positional_dp(
+            nodes in proptest::collection::vec((0usize..1000, 0u8..3), 0..60),
+            steps in proptest::collection::vec((proptest::prelude::any::<bool>(), 0u8..4), 1..7),
+            view in 0u8..4,
+            subset in proptest::collection::vec(proptest::prelude::any::<bool>(), 64),
+        ) {
+            let doc = random_document(&nodes);
+            let mut labels = doc.labels.clone();
+            let q = parse_pattern_with(&chain_source(&steps), &mut labels).unwrap();
+            let chain = q.root_path(q.answer());
+            let mut views = ViewSet::new();
+            let vsrc = format!("//{}", ["a", "b", "c", "*"][view as usize]);
+            let v = views.add(parse_pattern_with(&vsrc, &mut labels).unwrap());
+            let store = MaterializedStore::materialize_all(&doc, &views, usize::MAX);
+            let arena = store.get(v).unwrap().fragments.flat_codes();
+            check_verdicts(&doc, &q, &chain, arena)?;
+            let mut refined = FlatCodes::new();
+            for (i, code) in arena.iter().enumerate() {
+                if subset[i % subset.len()] {
+                    refined.push_encoded(code);
+                }
+            }
+            check_verdicts(&doc, &q, &chain, &refined)?;
+        }
+    }
+
+    #[test]
+    fn chain_longer_than_a_mask_word() {
+        // A 70-deep `a` spine with a `b` leaf on every level: chains of
+        // 66 and 70 steps need two mask words, and their last node sits
+        // below bit 63.
+        let mut labels = xvr_xml::LabelTable::new();
+        let (a, b) = (labels.intern("a"), labels.intern("b"));
+        let mut tree = XmlTree::new();
+        let mut cur = tree.add_root(a);
+        for _ in 1..70 {
+            tree.add_child(cur, b);
+            cur = tree.add_child(cur, a);
+        }
+        let doc = Document::from_tree(labels, tree);
+        let rooted = "/a".repeat(70);
+        let mixed = format!("//a{}//a/a", "/a".repeat(63));
+        let beyond = "/a".repeat(71);
+        for (qsrc, answers) in [(&rooted, 1), (&mixed, 70 - 65), (&beyond, 0)] {
+            let (q, sel, views, store) = pipeline(&doc, &["//a"], qsrc).unwrap();
+            let chain = q.root_path(q.answer());
+            assert!(chain.len() > 64);
+            let want = direct_codes(&doc, &q);
+            assert_eq!(want.len(), answers, "{qsrc}");
+            let arena = store.get(sel.units[0].view).unwrap().fragments.flat_codes();
+            check_verdicts(&doc, &q, &chain, arena).unwrap();
+            let cache = RewriteCache::new();
+            for got in [
+                rewrite(&q, &sel, &views, &store, &doc.fst).unwrap(),
+                rewrite_cached(&q, &sel, &views, &store, &doc.fst, &cache).unwrap(),
+                rewrite_scan(&q, &sel, &views, &store, &doc.fst).unwrap(),
+            ] {
+                let got: Vec<String> = got.iter().map(|c| c.to_string()).collect();
+                assert_eq!(got, want, "{qsrc}");
+            }
+        }
     }
 
     #[test]

@@ -11,8 +11,13 @@
 use std::cmp::Ordering;
 use std::fmt;
 
+use crate::flat;
 use crate::fst::Fst;
 use crate::tree::{NodeId, XmlTree};
+
+/// Depth up to which a node's code is gathered on the stack before it is
+/// copied out (see [`DeweyAssignment::code_of`]).
+pub const STACK_DEPTH: usize = 32;
 
 /// A full extended Dewey code: one component per node on the root path.
 #[derive(Clone, PartialEq, Eq, Hash)]
@@ -223,14 +228,45 @@ impl DeweyAssignment {
         self.components[node.index()]
     }
 
-    /// Assemble the full code of `node`.
+    /// Assemble the full code of `node`, in one exact-size allocation.
     pub fn code_of(&self, tree: &XmlTree, node: NodeId) -> DeweyCode {
-        let mut comps: Vec<u32> = tree
-            .ancestors_or_self(node)
-            .map(|n| self.component(n))
-            .collect();
-        comps.reverse();
-        DeweyCode(comps)
+        self.leaf_to_root(tree, node, |up| {
+            DeweyCode(up.iter().rev().copied().collect())
+        })
+    }
+
+    /// The code of `node`, a node of a fragment tree this assignment
+    /// numbers, in the document the fragment was cut from: the flat code
+    /// `root` of the fragment root there, followed by `node`'s own code
+    /// without its first component. One exact-size allocation.
+    pub fn code_under(&self, tree: &XmlTree, node: NodeId, root: &[u8]) -> DeweyCode {
+        self.leaf_to_root(tree, node, |up| {
+            let below = &up[..up.len() - 1];
+            let mut comps = Vec::with_capacity(flat::components(root).count() + below.len());
+            comps.extend(flat::components(root).map(|(c, _)| c));
+            comps.extend(below.iter().rev());
+            DeweyCode(comps)
+        })
+    }
+
+    /// Call `f` with the components of `node` and its ancestors, leaf
+    /// first: gathered on the stack for nodes less than [`STACK_DEPTH`]
+    /// deep, spilled to the heap below that.
+    fn leaf_to_root<R>(&self, tree: &XmlTree, node: NodeId, f: impl FnOnce(&[u32]) -> R) -> R {
+        let mut buf = [0u32; STACK_DEPTH];
+        let mut len = 0;
+        let mut cur = Some(node);
+        while let Some(n) = cur {
+            if len == STACK_DEPTH {
+                let mut spill = buf.to_vec();
+                spill.extend(tree.ancestors_or_self(n).map(|a| self.component(a)));
+                return f(&spill);
+            }
+            buf[len] = self.component(n);
+            len += 1;
+            cur = tree.parent(n);
+        }
+        f(&buf[..len])
     }
 
     /// Heap footprint in bytes.

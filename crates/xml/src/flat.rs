@@ -226,6 +226,16 @@ impl CmpStats {
         self.compare(a, b) == Ordering::Equal
     }
 
+    /// Length of the common byte prefix of two codes, tallying one
+    /// comparison over the bytes it read.
+    #[inline]
+    pub fn common_prefix(&mut self, a: &[u8], b: &[u8]) -> usize {
+        let n = a.iter().zip(b).take_while(|(x, y)| x == y).count();
+        self.comparisons += 1;
+        self.bytes += (n + 1).min(a.len().min(b.len())) as u64;
+        n
+    }
+
     /// Fold another tally in.
     pub fn merge(&mut self, other: &CmpStats) {
         self.comparisons += other.comparisons;

@@ -381,3 +381,94 @@ fn sorted_code_lists() -> impl Strategy<Value = Vec<Vec<Vec<u32>>>> {
         lists
     })
 }
+
+/// A tree from a parent draw per node: seven draws in eight hang the node
+/// under the previous one, so paths often run deeper than `STACK_DEPTH`;
+/// the rest hang it under any earlier node.
+fn drawn_tree(nodes: &[(usize, u8)]) -> (LabelTable, XmlTree) {
+    let mut labels = LabelTable::new();
+    let names = ["a", "b", "c"].map(|n| labels.intern(n));
+    let mut tree = XmlTree::new();
+    let mut ids = vec![tree.add_root(names[0])];
+    for (k, &(draw, label)) in nodes.iter().enumerate() {
+        let k = k + 1;
+        let parent = if draw % 8 != 0 { k - 1 } else { (draw / 8) % k };
+        ids.push(tree.add_child(ids[parent], names[label as usize % 3]));
+    }
+    (labels, tree)
+}
+
+/// `code_of` for every node against the ancestor walk, reversed; each code
+/// sits in one exact-size allocation, and codes ascend in document order.
+fn check_codes(doc: &Document) -> Result<(), TestCaseError> {
+    let mut prev: Option<DeweyCode> = None;
+    for n in doc.tree.iter() {
+        let mut want: Vec<u32> = doc
+            .tree
+            .ancestors_or_self(n)
+            .map(|a| doc.dewey.component(a))
+            .collect();
+        want.reverse();
+        let code = doc.dewey.code_of(&doc.tree, n);
+        prop_assert_eq!(code.components(), &want[..]);
+        prop_assert_eq!(code.0.capacity(), code.len());
+        if let Some(p) = &prev {
+            prop_assert!(p < &code, "{} !< {}", p, code);
+        }
+        prev = Some(code);
+    }
+    Ok(())
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    /// `code_of` equals the ancestor-walk reference for every node: on
+    /// trees deeper than its stack buffer, after an append that keeps the
+    /// codes and after one that re-encodes the document. Appending under
+    /// an inner node gives the new nodes the largest ids but not the last
+    /// places in document order.
+    #[test]
+    fn code_of_matches_ancestor_walk(
+        nodes in prop::collection::vec((0usize..1000, 0u8..3), 0..100),
+        at in 0usize..1000,
+    ) {
+        let (labels, tree) = drawn_tree(&nodes);
+        let mut doc = Document::from_tree(labels, tree);
+        check_codes(&doc)?;
+        let inner: Vec<NodeId> = doc.tree.iter().filter(|&n| doc.tree.has_children(n)).collect();
+        if !inner.is_empty() {
+            let n = inner[at % inner.len()];
+            let copy = doc.tree.extract_subtree(doc.tree.last_child(n).unwrap());
+            let (_, stability) = doc.append_subtree(n, &copy);
+            prop_assert_eq!(stability, CodeStability::Stable);
+            check_codes(&doc)?;
+        }
+        let z = doc.labels.intern("z");
+        let mut sub = XmlTree::new();
+        let r = sub.add_root(z);
+        sub.add_child(r, z);
+        let n = NodeId((at % doc.tree.len()) as u32);
+        let (_, stability) = doc.append_subtree(n, &sub);
+        prop_assert_eq!(stability, CodeStability::Reencoded);
+        check_codes(&doc)?;
+    }
+}
+
+/// A path longer than the stack buffer spills without losing a component.
+#[test]
+fn code_of_spills_past_the_stack_buffer() {
+    let depth = 3 * xvr_xml::dewey::STACK_DEPTH;
+    let nodes: Vec<(usize, u8)> = (0..depth).map(|k| (1, (k % 3) as u8)).collect();
+    let (labels, tree) = drawn_tree(&nodes);
+    let doc = Document::from_tree(labels, tree);
+    let leaf = NodeId(depth as u32);
+    assert_eq!(doc.tree.depth(leaf), depth);
+    let code = doc.dewey.code_of(&doc.tree, leaf);
+    assert_eq!(code.len(), depth + 1);
+    assert_eq!(
+        doc.fst.decode(code.components()).unwrap(),
+        doc.tree.label_path(leaf)
+    );
+    check_codes(&doc).unwrap();
+}
