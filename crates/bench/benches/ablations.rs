@@ -1,4 +1,4 @@
-//! Ablation benches: evaluation engines across encodings, selection
+//! Ablation benches: evaluation engines across indexes, selection
 //! objectives, and the attribute-pruning filter extension.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
@@ -6,15 +6,13 @@ use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use xvr_bench::{build_paper_engine, paper_document};
 use xvr_core::filter::{filter_views, filter_views_opts, FilterOptions};
 use xvr_core::Strategy;
-use xvr_pattern::{eval, eval_bf, eval_bn, eval_region, parse_pattern_with};
-use xvr_xml::region::RegionEncoding;
+use xvr_pattern::{eval, eval_bf, eval_bn, parse_pattern_with};
 use xvr_xml::{NodeIndex, PathIndex};
 
 fn engines(c: &mut Criterion) {
     let doc = paper_document(0.005, 0x5eed);
     let nidx = NodeIndex::build(&doc.tree, &doc.labels);
     let pidx = PathIndex::build(&doc.tree, &doc.labels);
-    let renc = RegionEncoding::assign(&doc.tree);
     let mut labels = doc.labels.clone();
     let queries = [
         ("shallow", "//person/name"),
@@ -32,9 +30,6 @@ fn engines(c: &mut Criterion) {
         });
         group.bench_with_input(BenchmarkId::new("bf_path_index", name), &q, |b, q| {
             b.iter(|| eval_bf(q, &doc, &pidx).len())
-        });
-        group.bench_with_input(BenchmarkId::new("region_join", name), &q, |b, q| {
-            b.iter(|| eval_region(q, &doc.tree, &nidx, &renc).len())
         });
     }
     group.finish();

@@ -17,12 +17,16 @@
 //! plants a deliberate bug (`drop-last-code`, `claim-filtered-view`,
 //! `drop-last-intersect`) to demonstrate that the oracle catches and
 //! shrinks it.
+//!
+//! The closing summary also counts, per view strategy, the queries it
+//! answered that `Hv` did not: what each strategy adds over the heuristic.
 
 use std::path::PathBuf;
 use std::process::ExitCode;
 use std::time::Instant;
 
 use xvr_bench::oracle::{load_corpus, replay, run_seed, Injection, OracleConfig};
+use xvr_core::Strategy;
 
 struct Args {
     seeds: Vec<u64>,
@@ -161,6 +165,7 @@ fn main() -> ExitCode {
     let mut total_false_positives = 0usize;
     let mut total_hv = 0usize;
     let mut total_hvi = 0usize;
+    let mut beyond_hv = [0usize; 7];
     for &seed in &args.seeds {
         let t0 = Instant::now();
         let summary = run_seed(seed, args.docs, args.views, args.queries, &cfg);
@@ -171,6 +176,9 @@ fn main() -> ExitCode {
         total_false_positives += summary.filter_false_positives;
         total_hv += summary.hv_answered;
         total_hvi += summary.hvi_answered;
+        for (total, n) in beyond_hv.iter_mut().zip(summary.beyond_hv) {
+            *total += n;
+        }
         println!(
             "seed {seed:>4}: {} cases, {} view answers, coverage hv {} / hvi {}, {} violation(s), vfilter fp {}/{} ({}), {:.1}s",
             summary.queries,
@@ -210,6 +218,14 @@ fn main() -> ExitCode {
          {total_violations} violation(s), \
          measured vfilter false-positive rate {fp_rate} ({total_false_positives}/{total_candidates} admitted views)"
     );
+    // The view strategies other than Hv itself.
+    let beyond: Vec<String> = Strategy::all_extended()
+        .iter()
+        .zip(beyond_hv)
+        .filter(|(s, _)| !matches!(s, Strategy::Bn | Strategy::Bf | Strategy::Hv))
+        .map(|(s, n)| format!("{} {n}", s.as_str().to_lowercase()))
+        .collect();
+    println!("answered where hv did not: {}", beyond.join(", "));
     if failed {
         ExitCode::FAILURE
     } else {

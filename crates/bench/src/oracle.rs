@@ -36,8 +36,8 @@
 //!     the legacy scan-merge join on the same selection, on the cached
 //!     and the uncached path ([`Invariant::JoinEquivalence`]).
 //!   - Intersection soundness: every code an `HvIntersect` answer emits
-//!     must appear in the `Bn` ground truth — the multi-way intersect
-//!     join may only narrow, never invent
+//!     must appear in the `Bn` ground truth — ANDing the members'
+//!     restrictions in the join may only narrow, never invent
 //!     ([`Invariant::IntersectionSoundness`]).
 //!   - Coverage monotonicity: `HvIntersect` runs the `Hv` heuristic first
 //!     and falls back to intersection only on failure, so it must answer
@@ -112,7 +112,7 @@ pub enum Invariant {
     /// the legacy scan-merge join on the same selection.
     JoinEquivalence,
     /// An `HvIntersect` answer contained a code absent from the `Bn`
-    /// ground truth: the intersect join invented an answer.
+    /// ground truth: the intersection's join invented an answer.
     IntersectionSoundness,
     /// `Hv` answered but `HvIntersect` (heuristic-first fallback) did not.
     CoverageMonotonic,
@@ -190,7 +190,7 @@ pub enum Injection {
     /// Pretend the `Hv` rewriting joined a view VFILTER rejected.
     ClaimFilteredView,
     /// Drop the last code from every non-empty `HvIntersect` answer — an
-    /// intersect join that silently loses its final fragment root.
+    /// intersection's join that silently loses its final fragment root.
     DropLastIntersect,
 }
 
@@ -515,6 +515,9 @@ pub struct CaseOutcome {
     /// Queries `HvIntersect` answered (≥ `hv_answered`: the intersection
     /// strategy tries the heuristic first).
     pub hvi_answered: usize,
+    /// Per [`Strategy::all_extended`] slot, queries that strategy answered
+    /// and `Hv` did not (zero unless both ran).
+    pub beyond_hv: [usize; 7],
     /// Views VFILTER admitted, summed over queries (FP-rate denominator).
     pub filter_candidates: usize,
     /// Admitted views with *no* homomorphism into the query — VFILTER
@@ -532,9 +535,17 @@ impl CaseOutcome {
         self.answered += other.answered;
         self.hv_answered += other.hv_answered;
         self.hvi_answered += other.hvi_answered;
+        add_slots(&mut self.beyond_hv, &other.beyond_hv);
         self.filter_candidates += other.filter_candidates;
         self.filter_false_positives += other.filter_false_positives;
         self.violations.extend(other.violations);
+    }
+}
+
+/// Add per-strategy-slot counts element-wise.
+fn add_slots(into: &mut [usize; 7], from: &[usize; 7]) {
+    for (a, b) in into.iter_mut().zip(from) {
+        *a += b;
     }
 }
 
@@ -982,7 +993,7 @@ fn check_query(
                 out.answered += usize::from(!matches!(s, Strategy::Bf));
                 out.hv_answered += usize::from(s == Strategy::Hv);
                 out.hvi_answered += usize::from(s == Strategy::HvIntersect);
-                // Intersection soundness: the intersect join may only
+                // Intersection soundness: the intersection's join may only
                 // narrow the member answer sets, so every emitted code must
                 // already be a ground-truth answer. (The differential check
                 // subsumes this for equality; a dedicated invariant keeps
@@ -1061,6 +1072,13 @@ fn check_query(
                 Some(Strategy::HvIntersect),
                 "Hv answered but HvIntersect (heuristic-first fallback) did not".into(),
             ));
+        }
+    }
+    // Coverage beyond Hv: what each strategy answers that the heuristic
+    // does not — the measure of what a strategy adds.
+    if let Some(hv) = hv.filter(|_| cfg.strategies.contains(&Strategy::Hv)) {
+        for (beyond, &answered) in out.beyond_hv.iter_mut().zip(&answerable) {
+            *beyond += usize::from(answered && !answerable[hv]);
         }
     }
 
@@ -1457,6 +1475,9 @@ pub struct RunSummary {
     /// Triples `HvIntersect` answered (coverage including the
     /// intersection fallback; always ≥ `hv_answered`).
     pub hvi_answered: usize,
+    /// Per [`Strategy::all_extended`] slot, triples that strategy answered
+    /// and `Hv` did not.
+    pub beyond_hv: [usize; 7],
     /// Views VFILTER admitted, summed over all triples.
     pub filter_candidates: usize,
     /// Admitted views with no homomorphism into their query (see
@@ -1496,6 +1517,7 @@ pub fn run_seed(
         summary.answered += outcome.answered;
         summary.hv_answered += outcome.hv_answered;
         summary.hvi_answered += outcome.hvi_answered;
+        add_slots(&mut summary.beyond_hv, &outcome.beyond_hv);
         summary.filter_candidates += outcome.filter_candidates;
         summary.filter_false_positives += outcome.filter_false_positives;
         for v in outcome.violations {
@@ -1627,6 +1649,35 @@ mod tests {
         }
         assert!(hv > 0, "Hv never answered — coverage accounting vacuous");
         assert!(hvi >= hv);
+    }
+
+    #[test]
+    fn beyond_hv_counts_what_only_the_intersection_answers() {
+        // Each view keeps one branch of the probe: no leaf-cover set
+        // answers it, the two views' intersection does.
+        let doc_cfg = Config::tiny(1);
+        let views: Vec<String> = vec![
+            "/site/people/person[phone]//name".into(),
+            "/site/people/person[homepage]//name".into(),
+        ];
+        let mut engine = Engine::new(generate(&doc_cfg), small_cfg().engine);
+        for v in &views {
+            engine.add_view_str(v).unwrap();
+        }
+        let q = engine
+            .parse("/site/people/person[phone][homepage]//name")
+            .unwrap();
+        let snap = engine.snapshot();
+        let out = check_query(&snap, &doc_cfg, &views, usize::MAX, &q, 1, &small_cfg());
+        assert!(out.violations.is_empty(), "{:?}", out.violations);
+        let beyond = |s: Strategy| {
+            let slot = Strategy::all_extended().iter().position(|&x| x == s);
+            out.beyond_hv[slot.unwrap()]
+        };
+        assert_eq!(beyond(Strategy::HvIntersect), 1);
+        for s in [Strategy::Mn, Strategy::Mv, Strategy::Hv, Strategy::Cb] {
+            assert_eq!(beyond(s), 0, "{s:?}");
+        }
     }
 
     #[test]

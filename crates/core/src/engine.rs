@@ -28,10 +28,10 @@ use xvr_xml::{
     CodeStability, DeweyCode, Document, Label, LabelTable, NodeIndex, PathIndex, SubtreeMemo,
 };
 
-use crate::filter::build_nfa;
+use crate::filter::{build_nfa, insert_view_paths};
 use crate::materialize::MaterializedStore;
 use crate::metrics::SnapshotMetrics;
-use crate::nfa::{AcceptEntry, Nfa};
+use crate::nfa::Nfa;
 use crate::rewrite::{view_gen, RewriteCache, RewriteError};
 use crate::snapshot::{EngineSnapshot, QueryOptions};
 use crate::view::{ViewId, ViewSet};
@@ -56,10 +56,10 @@ pub enum Strategy {
     /// Heuristic view set, falling back to an intersection rewrite over
     /// small subsets of VFILTER candidates when leaf-cover answerability
     /// fails (Cautis et al., "Rewriting XPath Queries using View
-    /// Intersections"): the members' refined fragment-root arenas are
-    /// intersected with a galloping multi-way merge and the query's
-    /// root-path chain is verified on the intersected codes. Answers a
-    /// strict superset of the queries `Hv` answers.
+    /// Intersections"): every member binds the answer node, so the
+    /// holistic join ANDs the members' refined fragment roots there while
+    /// it verifies the query's root-path chain. Answers every query `Hv`
+    /// answers.
     HvIntersect,
 }
 
@@ -386,18 +386,8 @@ impl Engine {
     pub fn add_view(&mut self, pattern: TreePattern) -> ViewId {
         let views = Arc::make_mut(&mut self.views);
         let id = views.add(pattern);
-        let nfa = Arc::make_mut(&mut self.nfa);
-        for (idx, path) in views.view(id).normalized_paths.iter().enumerate() {
-            nfa.insert(
-                path,
-                AcceptEntry {
-                    view: id,
-                    path_idx: idx as u32,
-                    path_len: path.len() as u32,
-                    attr_mask: views.view(id).path_attr_masks[idx],
-                },
-            );
-        }
+        let view = views.view(id);
+        insert_view_paths(Arc::make_mut(&mut self.nfa), view, &view.normalized_paths);
         Arc::make_mut(&mut self.store).materialize(
             &self.doc,
             &self.node_index,

@@ -14,11 +14,11 @@
 //! Proposition 3.1. The filter thus keeps the paper's guarantee: false
 //! positives allowed, false negatives never.
 
-use xvr_pattern::{decompose, normalize, TreePattern};
+use xvr_pattern::{decompose, normalize, PathPattern, TreePattern};
 
 use crate::metrics::{Counter, StageCounters};
 use crate::nfa::{AcceptEntry, Nfa};
-use crate::view::{ViewId, ViewSet};
+use crate::view::{View, ViewId, ViewSet};
 
 /// Result of filtering a query against a view set.
 #[derive(Clone, Debug)]
@@ -39,19 +39,26 @@ pub struct FilterOutcome {
 pub fn build_nfa(views: &ViewSet) -> Nfa {
     let mut nfa = Nfa::new();
     for view in views.iter() {
-        for (idx, path) in view.normalized_paths.iter().enumerate() {
-            nfa.insert(
-                path,
-                AcceptEntry {
-                    view: view.id,
-                    path_idx: idx as u32,
-                    path_len: path.len() as u32,
-                    attr_mask: view.path_attr_masks[idx],
-                },
-            );
-        }
+        insert_view_paths(&mut nfa, view, &view.normalized_paths);
     }
     nfa
+}
+
+/// Insert `paths` — one per path of `view`'s decomposition, normalized or
+/// raw — into `nfa`, each accepting with the view's id, the path's index
+/// and length, and its attribute signature.
+pub(crate) fn insert_view_paths(nfa: &mut Nfa, view: &View, paths: &[PathPattern]) {
+    for (idx, path) in paths.iter().enumerate() {
+        nfa.insert(
+            path,
+            AcceptEntry {
+                view: view.id,
+                path_idx: idx as u32,
+                path_len: path.len() as u32,
+                attr_mask: view.path_attr_masks[idx],
+            },
+        );
+    }
 }
 
 /// Filtering knobs, mainly for ablation studies. The defaults are what
@@ -83,17 +90,7 @@ impl Default for FilterOptions {
 pub fn build_nfa_raw(views: &ViewSet) -> Nfa {
     let mut nfa = Nfa::new();
     for view in views.iter() {
-        for (idx, path) in view.decomposition.paths.iter().enumerate() {
-            nfa.insert(
-                path,
-                AcceptEntry {
-                    view: view.id,
-                    path_idx: idx as u32,
-                    path_len: path.len() as u32,
-                    attr_mask: view.path_attr_masks[idx],
-                },
-            );
-        }
+        insert_view_paths(&mut nfa, view, &view.decomposition.paths);
     }
     nfa
 }

@@ -109,8 +109,8 @@ pub use materialize::{MaterializedStore, MaterializedView};
 pub use metrics::{Counter, Hist, MetricsReport, QueryReport, SnapshotMetrics, StageCounters};
 pub use nfa::Nfa;
 pub use rewrite::{
-    rewrite, rewrite_cached, rewrite_intersect_metered, rewrite_metered, rewrite_scan,
-    rewrite_scan_metered, RewriteCache, RewriteError,
+    rewrite, rewrite_cached, rewrite_metered, rewrite_scan, rewrite_scan_metered, RewriteCache,
+    RewriteError,
 };
 pub use select::{
     select_cost_based, select_cost_based_metered, select_heuristic, select_heuristic_metered,

@@ -99,13 +99,6 @@ pub enum Counter {
     IntersectAttempts,
     /// View subsets (size 2-3) probed by the intersection cover test.
     IntersectSubsetsTried,
-    /// Multi-way galloping intersect joins executed over refined
-    /// fragment-root arenas.
-    IntersectJoins,
-    /// Flat-code comparisons performed by the intersect joins.
-    IntersectComparisons,
-    /// Galloping probes issued by the intersect joins.
-    IntersectGallopProbes,
     /// Queries answered through the intersection fallback (as opposed to
     /// the plain heuristic path of `HvIntersect`).
     IntersectAnswered,
@@ -113,7 +106,7 @@ pub enum Counter {
 
 impl Counter {
     /// Number of counters (the dense array size).
-    pub const COUNT: usize = 32;
+    pub const COUNT: usize = 29;
 
     /// Every counter, in declaration (= index) order.
     pub const ALL: [Counter; Counter::COUNT] = [
@@ -145,9 +138,6 @@ impl Counter {
         Counter::AnswerCodes,
         Counter::IntersectAttempts,
         Counter::IntersectSubsetsTried,
-        Counter::IntersectJoins,
-        Counter::IntersectComparisons,
-        Counter::IntersectGallopProbes,
         Counter::IntersectAnswered,
     ];
 
@@ -182,9 +172,6 @@ impl Counter {
             Counter::AnswerCodes => "answer.codes",
             Counter::IntersectAttempts => "intersect.attempts",
             Counter::IntersectSubsetsTried => "intersect.subsets_tried",
-            Counter::IntersectJoins => "intersect.joins",
-            Counter::IntersectComparisons => "intersect.comparisons",
-            Counter::IntersectGallopProbes => "intersect.gallop_probes",
             Counter::IntersectAnswered => "intersect.answered",
         }
     }

@@ -15,7 +15,9 @@
 //!    Dewey code decodes to a concrete ancestor label via the FST, so the
 //!    prefix tree is an exact fragment of the base document's structure —
 //!    joining there is the paper's "join using the encoding scheme". Unit
-//!    positions `m_i` are restricted to that unit's surviving codes.
+//!    positions `m_i` are restricted to that unit's surviving codes;
+//!    units on the same query node AND their restrictions, which is how
+//!    an intersection selection (every unit binds `RET(Q)`) is joined.
 //!    A **single-unit** selection's skeleton is the bare trunk chain
 //!    `root → m`, so it builds no prefix tree: the chain plan matches the
 //!    chain against each surviving code's FST-decoded ancestor labels in
@@ -53,7 +55,7 @@ use xvr_pattern::{
     TreePattern,
 };
 use xvr_xml::flat::{self, flat_cmp};
-use xvr_xml::{intersect_many, CmpStats, DeweyCode, FlatCodes, Fst, Label, NodeId, XmlTree};
+use xvr_xml::{CmpStats, DeweyCode, FlatCodes, Fst, Label, NodeId, XmlTree};
 
 use crate::materialize::{MaterializedStore, MaterializedView};
 use crate::metrics::{Counter, StageCounters};
@@ -1088,113 +1090,6 @@ fn rewrite_chain(
     Ok(extract(anchors, |frag, i| {
         bit(&bits, if by_fragment { frag[i] as usize } else { i })
     }))
-}
-
-/// Intersection rewrite (the `HvIntersect` fallback): every unit of the
-/// selection binds `m = RET(Q)`, so the join degenerates into a set
-/// intersection of the units' refined fragment-root code lists — computed
-/// with the multi-way galloping merge [`intersect_many`] over the flat
-/// arenas — followed by the existing prefix-tree chain evaluation over the
-/// intersected set and extraction from the anchor unit's fragments.
-///
-/// Counter accounting: the multi-way merge's comparison work lands in the
-/// `intersect.*` counters ([`Counter::IntersectJoins`],
-/// [`Counter::IntersectComparisons`], [`Counter::IntersectGallopProbes`]);
-/// refinement and the chain evaluation report through the usual `rewrite.*`
-/// counters, so the marginal cost of intersecting is directly readable.
-///
-/// Refinement is memoized through `cache` when given (the per-member
-/// refined code lists and the anchor's extraction pairs share the cache
-/// keys of the general rewriter).
-pub fn rewrite_intersect_metered(
-    q: &TreePattern,
-    selection: &Selection,
-    views: &ViewSet,
-    store: &MaterializedStore,
-    fst: &Fst,
-    cache: Option<&RewriteCache>,
-    counters: &mut StageCounters,
-) -> Result<Vec<DeweyCode>, RewriteError> {
-    let _ = views;
-    debug_assert!(selection.intersection, "selection must be an intersection");
-    debug_assert!(
-        selection.units.iter().all(|u| u.cover.m == q.answer()),
-        "every intersection member binds the answer node"
-    );
-    counters.bump(Counter::RewriteRuns);
-    let mut scratch = EvalScratch::new();
-    // Stage 1: refine each member with the shared compensating pattern
-    // (the query subtree below the answer), exactly as the general path.
-    let compensating = q.subtree_pattern(q.answer(), Axis::Descendant);
-    let fp: Option<Arc<str>> = cache.map(|_| compensating.fingerprint().into());
-    let mut member_codes: Vec<Arc<FlatCodes>> = Vec::new();
-    let mut anchor_ref: Option<Arc<Anchors>> = None;
-    for (i, unit) in selection.units.iter().enumerate() {
-        let mv = store
-            .get(unit.view)
-            .ok_or(RewriteError::NotMaterialized(unit.view))?;
-        if !mv.complete() {
-            return Err(RewriteError::IncompleteMaterialization(unit.view));
-        }
-        let keyed = cache.zip(fp.clone());
-        if i == selection.anchor {
-            let pairs = memo(
-                keyed.map(|(c, fp)| (c, Key::Anchors(view_gen(mv), fp))),
-                counters,
-                |counters| {
-                    Ok(compute_anchor_pairs(
-                        &compensating,
-                        mv,
-                        &mut scratch,
-                        counters,
-                    ))
-                },
-            )?;
-            anchor_ref = Some(pairs);
-        } else {
-            let codes = memo(
-                keyed.map(|(c, fp)| (c, Key::Refined(view_gen(mv), fp))),
-                counters,
-                |counters| Ok(compute_refined(&compensating, mv, &mut scratch, counters)),
-            )?;
-            member_codes.push(codes);
-        }
-    }
-    let anchors = anchor_ref.expect("selection has an anchor unit");
-
-    // Stage 2: multi-way galloping intersection over the flat arenas.
-    counters.bump(Counter::IntersectJoins);
-    let mut join_stats = CmpStats::default();
-    let mut lists: Vec<&FlatCodes> = Vec::with_capacity(selection.units.len());
-    lists.push(&anchors.codes);
-    lists.extend(member_codes.iter().map(|c| c.as_ref()));
-    let intersected = intersect_many(&lists, &mut join_stats);
-    counters.add(Counter::IntersectComparisons, join_stats.comparisons);
-    counters.add(Counter::IntersectGallopProbes, join_stats.probes);
-
-    // Stage 3: the existing prefix-tree evaluation, restricted to the
-    // intersected set, verifies the chain `root → RET(Q)` against the
-    // FST-decoded ancestor labels; extraction then reads the anchor pairs.
-    let mut stats = CmpStats::default();
-    let result = (|| {
-        let stats = &mut stats;
-        let tree = PrefixTree::build_sorted(intersected.iter(), fst)?;
-        if tree.tree.is_empty() {
-            return Ok(Vec::new());
-        }
-        let skeleton = Skeleton::build(q, selection);
-        let bits = intersect_bits(&tree.codes, &intersected, stats);
-        let s_answer = skeleton.q_to_s[&q.answer()];
-        let admissible = |s: PNodeId, x: NodeId| -> bool { s != s_answer || bit(&bits, x.index()) };
-        let anchor_nodes =
-            eval_restricted_in(&skeleton.pattern, &tree.tree, &admissible, &mut scratch);
-        Ok(extract_joined(anchors, &tree, anchor_nodes, stats))
-    })();
-    counters.add(Counter::RewriteDeweyComparisons, stats.comparisons);
-    counters.add(Counter::RewriteGallopProbes, stats.probes);
-    counters.add(Counter::RewriteComparisonsSkipped, stats.skipped);
-    counters.add(Counter::RewriteBytesCompared, stats.bytes);
-    result
 }
 
 /// The query skeleton: the union of the chains `root → m_i`, as a pattern

@@ -41,10 +41,10 @@ pub struct Selection {
     /// Index of the anchor unit (its cover has `covers_answer`).
     pub anchor: usize,
     /// `true` for a selection produced by [`select_intersection_metered`]:
-    /// every unit binds `m = RET(Q)` and the rewriting must intersect the
-    /// units' refined fragment-root sets
-    /// ([`crate::rewrite::rewrite_intersect_metered`]) instead of running
-    /// the general holistic join.
+    /// every unit binds `m = RET(Q)`. The rewriting needs no special case,
+    /// because the holistic join ANDs the restrictions of units on the
+    /// same query node, and that AND is the intersection of their refined
+    /// fragment-root sets. The flag only counts `intersect.answered`.
     pub intersection: bool,
 }
 

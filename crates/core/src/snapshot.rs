@@ -48,7 +48,7 @@ use crate::leafcover::Obligations;
 use crate::materialize::MaterializedStore;
 use crate::metrics::{Counter, MetricsReport, QueryReport, SnapshotMetrics, StageCounters};
 use crate::nfa::Nfa;
-use crate::rewrite::{rewrite_intersect_metered, rewrite_metered, RewriteCache};
+use crate::rewrite::{rewrite_metered, RewriteCache};
 use crate::select::{
     select_cost_based_metered, select_heuristic_metered, select_intersection_metered,
     select_minimum_metered, Selection,
@@ -528,29 +528,15 @@ impl EngineSnapshot {
                 counters.add(Counter::SelectViews, selection.view_ids().len() as u64);
                 let candidates = trace.usable.len();
                 let t0 = Instant::now();
-                let result = if selection.intersection {
-                    // Intersection selections join by set intersection of
-                    // same-`m` units.
-                    rewrite_intersect_metered(
-                        q,
-                        &selection,
-                        &self.views,
-                        &self.store,
-                        &self.doc.fst,
-                        use_cache.then_some(self.rewrite_cache.as_ref()),
-                        counters,
-                    )
-                } else {
-                    rewrite_metered(
-                        q,
-                        &selection,
-                        &self.views,
-                        &self.store,
-                        &self.doc.fst,
-                        use_cache.then_some(self.rewrite_cache.as_ref()),
-                        counters,
-                    )
-                };
+                let result = rewrite_metered(
+                    q,
+                    &selection,
+                    &self.views,
+                    &self.store,
+                    &self.doc.fst,
+                    use_cache.then_some(self.rewrite_cache.as_ref()),
+                    counters,
+                );
                 let codes = match result {
                     Ok(codes) => codes,
                     Err(e) => return (Err(AnswerError::Rewrite(e)), trace, timings),

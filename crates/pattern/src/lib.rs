@@ -32,7 +32,6 @@ pub mod normalize;
 pub mod parse;
 pub mod paths;
 pub mod pattern;
-pub mod region_eval;
 pub mod similarity;
 
 pub use containment::{
@@ -54,5 +53,4 @@ pub use normalize::{is_normalized, normalize};
 pub use parse::{parse_pattern, parse_pattern_in, parse_pattern_with, PatternParseError};
 pub use paths::{path_contains, path_contains_anchored, PathPattern, PathSymbol, Step};
 pub use pattern::{AttrPred, Axis, PLabel, PNode, PNodeId, TreePattern};
-pub use region_eval::eval_region;
 pub use similarity::{cluster, similarity};

@@ -390,63 +390,6 @@ impl FlatCodes {
     }
 }
 
-/// Multi-way intersection of strictly sorted arenas by a galloping merge:
-/// the smallest list drives, and for each of its codes every other list
-/// gallops its own forward cursor to the first entry `>= key`
-/// ([`FlatCodes::gallop_lower_bound`]); the code is emitted iff every list
-/// lands on an exact match. Cursors never move backwards, so each list is
-/// traversed at most once — the same skip-pointer discipline as the
-/// holistic join, which makes the intersection just another join over
-/// sorted flat codes.
-///
-/// Inputs must each be strictly sorted (the invariant every fragment-root
-/// arena maintains); the output is then strictly sorted too, and identical
-/// for any permutation of `lists`. With zero inputs the intersection of
-/// nothing is empty; with one input it is a copy of that input.
-///
-/// Work bound: one gallop landing `d` entries ahead issues at most
-/// `2*(d + 1)` probes (1 initial + t doubling + at most t-1 binary-search
-/// probes, with `d >= 2^(t-1)`), so total probes never exceed twice the
-/// entries a linear k-way scan-merge would visit. The proptest battery in
-/// `tests/proptest_xml.rs` holds this bound against arbitrary inputs.
-pub fn intersect_many(lists: &[&FlatCodes], stats: &mut CmpStats) -> FlatCodes {
-    let mut out = FlatCodes::new();
-    let Some(driver) = (0..lists.len()).min_by_key(|&i| lists[i].len()) else {
-        return out;
-    };
-    if lists[driver].is_empty() {
-        return out;
-    }
-    if lists.len() == 1 {
-        return lists[driver].clone();
-    }
-    let mut cursors = vec![0usize; lists.len()];
-    'driver: for i in 0..lists[driver].len() {
-        let key = lists[driver].get(i);
-        let mut in_all = true;
-        for (j, list) in lists.iter().enumerate() {
-            if j == driver {
-                continue;
-            }
-            let pos = list.gallop_lower_bound(cursors[j], key, stats);
-            if pos == list.len() {
-                // This list is exhausted: nothing at-or-past `key` exists,
-                // and later driver keys are larger still.
-                break 'driver;
-            }
-            cursors[j] = pos;
-            if !stats.eq(list.get(pos), key) {
-                in_all = false;
-                break;
-            }
-        }
-        if in_all {
-            out.push_encoded(key);
-        }
-    }
-    out
-}
-
 impl FromIterator<Vec<u32>> for FlatCodes {
     fn from_iter<I: IntoIterator<Item = Vec<u32>>>(iter: I) -> FlatCodes {
         let mut fc = FlatCodes::new();
@@ -612,49 +555,6 @@ mod tests {
         }
         assert!(stats.comparisons > 0 && stats.probes > 0);
         assert!(stats.skipped > 0, "long jumps must skip entries");
-    }
-
-    #[test]
-    fn intersect_many_small_cases() {
-        let a = arena(&[&[0], &[0, 1], &[0, 3], &[0, 5], &[1]]);
-        let b = arena(&[&[0, 1], &[0, 2], &[0, 5], &[2]]);
-        let c = arena(&[&[0, 1], &[0, 5]]);
-        let mut stats = CmpStats::default();
-        let abc = intersect_many(&[&a, &b, &c], &mut stats);
-        assert_eq!(
-            abc.iter()
-                .map(|x| decode_components(x).unwrap())
-                .collect::<Vec<_>>(),
-            vec![vec![0, 1], vec![0, 5]]
-        );
-        assert!(abc.is_strictly_sorted());
-        // Input order must not change the result.
-        let mut stats2 = CmpStats::default();
-        assert_eq!(intersect_many(&[&c, &a, &b], &mut stats2), abc);
-        assert_eq!(intersect_many(&[&b, &c, &a], &mut stats2), abc);
-        // Disjoint lists intersect empty; an empty member empties all.
-        let d = arena(&[&[7]]);
-        assert!(intersect_many(&[&a, &d], &mut stats).is_empty());
-        assert!(intersect_many(&[&a, &FlatCodes::new()], &mut stats).is_empty());
-        // Degenerate arities.
-        assert!(intersect_many(&[], &mut stats).is_empty());
-        assert_eq!(intersect_many(&[&a], &mut stats), a);
-    }
-
-    #[test]
-    fn intersect_many_probes_within_linear_bound() {
-        // Adversarial interleaving: b advances two entries per driver key.
-        let a: FlatCodes = (0..100u32).map(|i| vec![3 * i]).collect();
-        let b: FlatCodes = (0..300u32).map(|i| vec![i]).collect();
-        let mut stats = CmpStats::default();
-        let got = intersect_many(&[&a, &b], &mut stats);
-        assert_eq!(got.len(), 100);
-        let linear = (a.len() + b.len() + a.len()) as u64; // entries + one probe per call
-        assert!(
-            stats.probes <= 2 * linear,
-            "{} probes > 2x linear bound {linear}",
-            stats.probes
-        );
     }
 
     #[test]

@@ -28,7 +28,6 @@ pub mod generator;
 pub mod index;
 pub mod label;
 pub mod parser;
-pub mod region;
 pub mod samples;
 pub mod serializer;
 pub mod stats;
@@ -36,13 +35,12 @@ pub mod tree;
 
 pub use dewey::{DeweyAssignment, DeweyCode};
 pub use error::ParseError;
-pub use flat::{encode_code, flat_cmp, flat_is_prefix, intersect_many, CmpStats, FlatCodes};
+pub use flat::{encode_code, flat_cmp, flat_is_prefix, CmpStats, FlatCodes};
 pub use fragment::{fragment_footprint, FragmentSet, MaterializeStats, SubtreeMemo};
 pub use fst::Fst;
 pub use index::{NodeIndex, PathIndex};
 pub use label::{Label, LabelTable};
 pub use parser::parse_document;
-pub use region::{Region, RegionEncoding};
 pub use serializer::serialize;
 pub use stats::DocStats;
 pub use tree::{CodeStability, Document, NodeId, XmlTree};

@@ -314,72 +314,6 @@ proptest! {
             prop_assert_eq!(arena.gallop_lower_bound(from, &flat_key, &mut stats), want);
         }
     }
-
-    /// The multi-way galloping intersect equals the sort-dedup reference
-    /// set intersection on arbitrary strictly-sorted inputs.
-    #[test]
-    fn intersect_many_matches_reference(lists in sorted_code_lists()) {
-        let arenas: Vec<xvr_xml::FlatCodes> =
-            lists.iter().map(|l| l.iter().cloned().collect()).collect();
-        let refs: Vec<&xvr_xml::FlatCodes> = arenas.iter().collect();
-        let mut stats = xvr_xml::CmpStats::default();
-        let got = xvr_xml::intersect_many(&refs, &mut stats);
-        let expected: xvr_xml::FlatCodes = lists[0]
-            .iter()
-            .filter(|c| lists[1..].iter().all(|l| l.binary_search(c).is_ok()))
-            .cloned()
-            .collect();
-        prop_assert_eq!(got, expected);
-    }
-
-    /// Intersection is insensitive to the order of its input lists (the
-    /// driver choice is an optimization, never a semantic one).
-    #[test]
-    fn intersect_many_is_order_insensitive(lists in sorted_code_lists()) {
-        let arenas: Vec<xvr_xml::FlatCodes> =
-            lists.iter().map(|l| l.iter().cloned().collect()).collect();
-        let fwd: Vec<&xvr_xml::FlatCodes> = arenas.iter().collect();
-        let mut rev = fwd.clone();
-        rev.reverse();
-        let mut rot = fwd.clone();
-        rot.rotate_left(1);
-        let mut stats = xvr_xml::CmpStats::default();
-        let reference = xvr_xml::intersect_many(&fwd, &mut stats);
-        prop_assert_eq!(&xvr_xml::intersect_many(&rev, &mut stats), &reference);
-        prop_assert_eq!(&xvr_xml::intersect_many(&rot, &mut stats), &reference);
-    }
-
-    /// Gallop probes never exceed twice what a linear k-way scan-merge
-    /// would visit: one landing `d` ahead costs at most `2*(d + 1)`
-    /// probes, so per non-driver list the total is bounded by twice its
-    /// entries plus twice one probe per driver key.
-    #[test]
-    fn intersect_many_probes_within_twice_linear(lists in sorted_code_lists()) {
-        let arenas: Vec<xvr_xml::FlatCodes> =
-            lists.iter().map(|l| l.iter().cloned().collect()).collect();
-        let refs: Vec<&xvr_xml::FlatCodes> = arenas.iter().collect();
-        let mut stats = xvr_xml::CmpStats::default();
-        xvr_xml::intersect_many(&refs, &mut stats);
-        let total: usize = lists.iter().map(|l| l.len()).sum();
-        let driver = lists.iter().map(|l| l.len()).min().unwrap_or(0);
-        let linear = (total + lists.len() * driver) as u64;
-        prop_assert!(
-            stats.probes <= 2 * linear,
-            "{} probes > 2x linear bound {}", stats.probes, linear
-        );
-    }
-}
-
-/// 2–4 strictly sorted, deduped code lists — the arena invariant
-/// `intersect_many` assumes.
-fn sorted_code_lists() -> impl Strategy<Value = Vec<Vec<Vec<u32>>>> {
-    prop::collection::vec(prop::collection::vec(code(), 0..30), 2..5).prop_map(|mut lists| {
-        for l in &mut lists {
-            l.sort();
-            l.dedup();
-        }
-        lists
-    })
 }
 
 /// A tree from a parent draw per node: seven draws in eight hang the node

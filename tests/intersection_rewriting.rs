@@ -4,7 +4,9 @@
 //! asserting the strategy equals `Bn` ground truth on every case where it
 //! claims answerability, and answers at least everything `Hv` answers.
 
-use xvr_core::{AnswerError, Engine, EngineConfig, QueryOptions, Strategy};
+use xvr_core::{
+    rewrite_scan, AnswerError, Counter, Engine, EngineConfig, QueryOptions, StageCounters, Strategy,
+};
 use xvr_pattern::distinct_positive_patterns;
 use xvr_pattern::generator::{QueryConfig, QueryGenerator};
 use xvr_xml::generator::{generate, Config};
@@ -162,54 +164,94 @@ fn cached_and_uncached_intersections_are_byte_identical() {
     }
 }
 
+/// The planted member pair and probe of the rewrite hot-path bench: each
+/// view keeps one branch of the probe, so only their intersection (or a
+/// random view that happens to cover both branches) answers it.
+const PLANTED_MEMBERS: [&str; 2] = [
+    "/site/people/person[phone]//name",
+    "/site/people/person[homepage]//name",
+];
+const PLANTED_PROBE: &str = "/site/people/person[phone][homepage]//name";
+
 /// Seeded differential: on randomized documents, view sets, and positive
-/// query workloads, every `HvIntersect` answer equals `Bn` ground truth,
-/// and `HvIntersect` answers every query `Hv` answers (the heuristic runs
-/// first, so its coverage is a lower bound).
+/// query workloads — plus the planted member pair and probe, so the
+/// intersection path is really taken — every `HvIntersect` answer equals
+/// `Bn` ground truth cached (cold and warm) and uncached, the legacy scan
+/// join over the same selection agrees, and `HvIntersect` answers every
+/// query `Hv` answers (the heuristic runs first, so its coverage is a
+/// lower bound).
 #[test]
 fn seeded_differential_matches_ground_truth() {
     let mut checked = 0usize;
     let mut answered = 0usize;
+    let mut counters = StageCounters::new();
     for seed in 0..6u64 {
         let doc = generate(&Config::tiny(seed));
         let views =
             distinct_positive_patterns(&doc, QueryConfig::paper_view_workload(seed ^ 0x1), 14);
         let mut engine = Engine::new(doc, EngineConfig::default());
+        for v in PLANTED_MEMBERS {
+            engine.add_view_str(v).expect("planted member view parses");
+        }
         for v in views {
             engine.add_view(v);
         }
-        let doc = engine.doc().clone();
+        let snap = engine.snapshot();
+        let doc = snap.doc().clone();
         let mut gen = QueryGenerator::new(&doc.fst, QueryConfig::paper_query_workload(seed ^ 0x2));
-        for _ in 0..8 {
-            let Some(q) = gen.generate_positive(&doc, 30) else {
-                continue;
-            };
+        let mut queries = vec![snap.parse(PLANTED_PROBE).expect("planted probe parses")];
+        queries.extend((0..8).filter_map(|_| gen.generate_positive(&doc, 30)));
+        for q in &queries {
             checked += 1;
-            let ground = engine.answer(&q, Strategy::Bn).unwrap().codes;
-            let hv = engine.answer(&q, Strategy::Hv);
-            let hvi = engine.answer(&q, Strategy::HvIntersect);
+            let shown = q.display(snap.labels());
+            let run = |options: QueryOptions| snap.query(q, &options);
+            let ground = run(QueryOptions::strategy(Strategy::Bn))
+                .answer
+                .unwrap()
+                .codes;
+            let hv = run(QueryOptions::strategy(Strategy::Hv)).answer;
+            let hvi = QueryOptions::strategy(Strategy::HvIntersect);
+            let cold = run(hvi.with_metrics());
+            counters.merge(cold.report.unwrap().counters.as_ref().unwrap());
+            let warm = run(hvi).answer;
+            let uncached = run(hvi.with_cache(false)).answer;
             if hv.is_ok() {
                 assert!(
-                    hvi.is_ok(),
-                    "coverage regression: Hv answered but HvIntersect did not for {}",
-                    q.display(engine.labels())
+                    cold.answer.is_ok(),
+                    "coverage regression: Hv answered but HvIntersect did not for {shown}"
                 );
             }
-            match hvi {
+            match cold.answer {
                 Ok(a) => {
                     answered += 1;
+                    assert_eq!(a.codes, ground, "HvIntersect diverged from Bn on {shown}");
                     assert_eq!(
-                        a.codes,
+                        warm.unwrap().codes,
                         ground,
-                        "HvIntersect diverged from Bn on {}",
-                        q.display(engine.labels())
+                        "warm cache diverged on {shown}"
                     );
+                    assert_eq!(
+                        uncached.unwrap().codes,
+                        ground,
+                        "uncached diverged on {shown}"
+                    );
+                    let (selection, _, _) = snap.lookup(q, Strategy::HvIntersect);
+                    let selection = selection.expect("an answered query has a selection");
+                    let scan = rewrite_scan(q, &selection, snap.views(), snap.store(), &doc.fst);
+                    assert_eq!(scan.unwrap(), ground, "scan join diverged on {shown}");
                 }
-                Err(AnswerError::NotAnswerable) => {}
+                Err(AnswerError::NotAnswerable) => {
+                    assert_eq!(warm.err(), Some(AnswerError::NotAnswerable), "{shown}");
+                    assert_eq!(uncached.err(), Some(AnswerError::NotAnswerable), "{shown}");
+                }
                 Err(e) => panic!("unexpected error: {e}"),
             }
         }
     }
     assert!(checked >= 20, "workload generation went vacuous");
     assert!(answered > 0, "HvIntersect never answered — vacuous sweep");
+    assert!(
+        counters.get(Counter::IntersectAnswered) > 0,
+        "the intersection path was never taken"
+    );
 }
